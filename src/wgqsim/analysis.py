@@ -15,8 +15,6 @@ integrands, cost order**n) or by seeded Monte-Carlo sampling.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +81,8 @@ def fidelity_kernel(
         F = |sum_j w_j|^2 / ((n+1) * sum_j |w_j|^2).
 
     Agrees with the circuit route to machine precision; the tests pin
-    that down.
+    that down.  Cauchy-Schwarz bounds F by 1; rounding above that is
+    clamped.
     """
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
     if offsets.shape[1] != n:
@@ -104,7 +103,7 @@ def fidelity_kernel(
         w[:, j] = rnom ** j * suffix
     num = np.abs(w.sum(axis=1)) ** 2
     den = (n + 1) * (np.abs(w) ** 2).sum(axis=1)
-    return num / den
+    return np.minimum(num / den, 1.0)
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,8 @@ def averaged_fidelity(
         for g in wgrids:
             weight = weight * g.ravel()
         vals = evaluate(nodes)
-        mean = float((weight * vals).sum() / math.pi ** (n / 2.0))
+        # the weights sum to pi^(n/2) only up to rounding
+        mean = min(1.0, float((weight * vals).sum() / math.pi ** (n / 2.0)))
         return AveragedFidelity(mean, None, nodes.shape[0], "gh")
 
     if method == "mc":
@@ -279,23 +279,6 @@ def _axis_span(values: list[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("WGQSIM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_indexed(fn, items: list) -> list:
-    """Evaluate fn over items, optionally threaded, order preserved."""
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, it) for it in items]
-        return [f.result() for f in futures]
-
-
 def _log_grid(lo: float, hi: float, num: int) -> list[float]:
     return [float(v) for v in np.geomspace(lo, hi, num)]
 
@@ -341,38 +324,29 @@ def sweep(kind: str, grid: list[float] | None = None) -> SweepResult:
         res = SweepResult(kind, "purcell", list(xs))
         for n in (2, 3):
             for d in (0.0, 0.1, 0.15):
-                vals = _map_indexed(
-                    lambda p, n=n, d=d: simulated_success_probability(
-                        n, EmitterParams(purcell=p, detuning=d)
-                    ),
-                    list(xs),
-                )
-                res.series[f"n={n} d={d:g}"] = vals
+                res.series[f"n={n} d={d:g}"] = [
+                    simulated_success_probability(n, EmitterParams(purcell=p, detuning=d))
+                    for p in xs
+                ]
         return res
     if kind == "fig7":
         xs = grid or _lin_grid(-0.5, 0.5, 101)
         res = SweepResult(kind, "detuning", list(xs))
         for n in (2, 3):
             for p in (100.0, 50.0, 10.0):
-                vals = _map_indexed(
-                    lambda d, n=n, p=p: simulated_success_probability(
-                        n, EmitterParams(purcell=p, detuning=d)
-                    ),
-                    list(xs),
-                )
-                res.series[f"n={n} P={p:g}"] = vals
+                res.series[f"n={n} P={p:g}"] = [
+                    simulated_success_probability(n, EmitterParams(purcell=p, detuning=d))
+                    for d in xs
+                ]
         return res
     if kind == "fig8":
         xs = grid or _lin_grid(-0.3, 0.3, 61)
         res = SweepResult(kind, "detuning", list(xs))
         for n in (2, 3):
             for sigma in (0.0, 0.1, 0.2):
-                vals = _map_indexed(
-                    lambda d, n=n, s=sigma: averaged_fidelity(
-                        n, EmitterParams(purcell=100.0, detuning=d), s
-                    ).value,
-                    list(xs),
-                )
-                res.series[f"n={n} sigma={sigma:g}"] = vals
+                res.series[f"n={n} sigma={sigma:g}"] = [
+                    averaged_fidelity(n, EmitterParams(purcell=100.0, detuning=d), sigma).value
+                    for d in xs
+                ]
         return res
     raise InvalidParameterError(f"unknown sweep kind {kind!r}, know {SWEEP_KINDS}")

@@ -76,6 +76,8 @@ def _grid_flag(text: str) -> tuple[float, float, int]:
         lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text!r}")
     if num < 2:
         raise argparse.ArgumentTypeError("grid needs at least 2 points")
     return lo, hi, num
@@ -199,7 +201,7 @@ def cmd_run(args) -> int:
         raise InvalidParameterError("--protocol klmN needs --n")
     offsets = args.offsets or ()
     params = ProtocolParams(n, _emitter_params(args), offsets)
-    circuit = build_protocol(protocol, n, params)
+    circuit = build_protocol(protocol, n)
     return _execute_report(circuit, params, protocol, args)
 
 

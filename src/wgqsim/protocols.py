@@ -58,21 +58,23 @@ THREE_QUBIT_FEEDFORWARD: dict[str, tuple[int, ...]] = {
 }
 
 
-def n_qubit_feedforward(n: int) -> dict[str, tuple[int, ...]]:
-    return {"D1": (), "D2": (0,)}
+N_QUBIT_FEEDFORWARD: dict[str, tuple[int, ...]] = {
+    "D1": (),
+    "D2": (0,),
+}
 
 
-def feedforward_rules(protocol: str, n: int) -> dict[str, tuple[int, ...]]:
+def feedforward_rules(protocol: str) -> dict[str, tuple[int, ...]]:
     if protocol == "klm2":
         return dict(TWO_QUBIT_FEEDFORWARD)
     if protocol == "klm3":
         return dict(THREE_QUBIT_FEEDFORWARD)
     if protocol == "klmN":
-        return n_qubit_feedforward(n)
+        return dict(N_QUBIT_FEEDFORWARD)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def build_heralded_z(params: ProtocolParams | None = None) -> Circuit:
+def build_heralded_z() -> Circuit:
     """Single-emitter heralded gate: one bounce, click means success."""
     return Circuit(
         name="heralded_z",
@@ -87,7 +89,7 @@ def build_heralded_z(params: ProtocolParams | None = None) -> Circuit:
     )
 
 
-def build_two_qubit(params: ProtocolParams | None = None, prep_angle_deg: float | None = None) -> Circuit:
+def build_two_qubit() -> Circuit:
     """Dedicated two-emitter network.
 
     An input wave plate splits the photon 1:2 between a bypass arm and a
@@ -96,17 +98,13 @@ def build_two_qubit(params: ProtocolParams | None = None, prep_angle_deg: float 
     rnom on the less-scattered branches equalize the three branch
     weights, and the output interference spreads the herald over four
     detectors.
-
-    ``prep_angle_deg`` overrides the input wave-plate angle, e.g. to
-    reproduce a hardware-rounded setting; default is the exact 1:2 angle.
     """
-    theta = PREP_ANGLE_TWO_QUBIT if prep_angle_deg is None else prep_angle_deg
     return Circuit(
         name="klm2",
         n_emitters=2,
         modes=tuple(range(10)),
         components=[
-            HWP(mode=0, theta_deg=theta, label="prep"),
+            HWP(mode=0, theta_deg=PREP_ANGLE_TWO_QUBIT, label="prep"),
             PBS.of({(0, "H"): 1, (0, "V"): 2}, label="pbs_in"),
             EmitterScatter(in_mode=2, emitter=1, reflected_out=8, sink="D'1"),
             Mirror(in_mode=8, out_mode=4),
@@ -129,7 +127,7 @@ def build_two_qubit(params: ProtocolParams | None = None, prep_angle_deg: float 
     )
 
 
-def build_three_qubit(params: ProtocolParams | None = None) -> Circuit:
+def build_three_qubit() -> Circuit:
     """Dedicated three-emitter network.
 
     Same pattern one level deeper: a 30 degree input plate splits 1:3,
@@ -171,7 +169,7 @@ def build_three_qubit(params: ProtocolParams | None = None) -> Circuit:
     )
 
 
-def build_n_qubit(n: int, params: ProtocolParams | None = None) -> Circuit:
+def build_n_qubit(n: int) -> Circuit:
     """Generic N-emitter chain.
 
     The photon enters vertically polarized on a bus.  Stage k peels off
@@ -228,17 +226,17 @@ def build_n_qubit(n: int, params: ProtocolParams | None = None) -> Circuit:
     )
 
 
-def build_protocol(protocol: str, n: int, params: ProtocolParams | None = None) -> Circuit:
+def build_protocol(protocol: str, n: int) -> Circuit:
     if protocol == "klm2":
         if n != 2:
             raise ValueError("klm2 is a dedicated two-emitter layout")
-        return build_two_qubit(params)
+        return build_two_qubit()
     if protocol == "klm3":
         if n != 3:
             raise ValueError("klm3 is a dedicated three-emitter layout")
-        return build_three_qubit(params)
+        return build_three_qubit()
     if protocol == "klmN":
-        return build_n_qubit(n, params)
+        return build_n_qubit(n)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
@@ -310,17 +308,17 @@ def postprocess_execution(
 ) -> ProtocolRun:
     """Turn raw detector outcomes into reported register states.
 
-    Converts each conditioned state to the plusminus basis and, when a
+    The conditioned states are already in the plusminus basis.  When a
     feedforward table is known for ``protocol``, applies the sign flips
     and scores against the target.
     """
-    rules = feedforward_rules(protocol, params.n) if protocol else None
+    rules = feedforward_rules(protocol) if protocol else None
     target = klm_target(params.n) if protocol else None
     outcomes = []
     for oc in result.outcomes:
-        reg = oc.state.change_basis()  # energy -> plusminus
+        reg = oc.state
         if reg.basis != PLUSMINUS:
-            raise StateOpError("detector output was not in the energy basis")
+            raise StateOpError("detector output was not in the plusminus basis")
         if rules is None:
             outcomes.append(
                 HeraldedOutcome(oc.detector, oc.probability, reg.phase_normalized())
@@ -354,6 +352,6 @@ def run_protocol(
     if params.n < 2:
         raise ValueError("heralded register generation needs n >= 2")
     proto = protocol or default_protocol(params.n)
-    circuit = build_protocol(proto, params.n, params)
+    circuit = build_protocol(proto, params.n)
     result = execute(circuit, params=params, trace=trace)
     return postprocess_execution(result, params, proto)

@@ -7,10 +7,13 @@ A pure state is stored as a sparse map
     (mode, polarization, config) -> complex amplitude
 
 where ``config`` is an N-bit integer, bit i describing emitter i.  What a
-set bit means depends on the basis tag: in the "energy" basis bit 0/1 is
-the ground sublevel g+/g-, in the "plusminus" basis it is the diagonal
-state (g+ +- g-)/sqrt2.  Scattering is diagonal in the energy basis, so
-states stay in it internally; conversion happens at reporting time.
+set bit means depends on the basis tag: in the "plusminus" basis bit 0/1
+is the diagonal state (g+ +- g-)/sqrt2, in the "energy" basis it is the
+ground sublevel g+/g-.  States live in the plusminus basis: the g+ branch
+reflects with +r and the g- branch with -r, so a scatter is r*Z on one
+emitter, which there flips a single bit.  The '+'/'-' input register is
+one config, and a run never leaves the basis it reports in.  Only trace
+snapshots are converted to the energy basis.
 
 Photon loss channels are classical once the photon is gone, so they are
 tracked as real probability sinks, not amplitudes.  The conserved total is
@@ -35,7 +38,7 @@ POLARIZATIONS = (H, V)
 ENERGY = "energy"
 PLUSMINUS = "plusminus"
 
-# Amplitudes and outcome probabilities below this are numerical dust.
+# Amplitudes below this are numerical dust.
 PRUNE_TOL = 1e-14
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -100,9 +103,12 @@ class EmitterState:
         )
 
     def fidelity(self, other: "EmitterState") -> float:
-        """|<self|other>|^2 of the normalized states.  Phase-insensitive."""
+        """|<self|other>|^2 of the normalized states.  Phase-insensitive.
+
+        Cauchy-Schwarz bounds it by 1; rounding above that is clamped.
+        """
         denom = self.norm_sq() * other.norm_sq()
-        return abs(self.overlap(other)) ** 2 / denom
+        return min(1.0, abs(self.overlap(other)) ** 2 / denom)
 
     def change_basis(self) -> "EmitterState":
         """Hadamard every emitter, toggling energy <-> plusminus."""
@@ -199,7 +205,7 @@ class SystemState:
         n: int,
         amplitudes: dict[Slot, complex] | None = None,
         sinks: dict[str, float] | None = None,
-        basis: str = ENERGY,
+        basis: str = PLUSMINUS,
     ):
         if n < 1:
             raise StateOpError(f"need at least one emitter, got n={n}")
@@ -216,22 +222,16 @@ class SystemState:
     def initial(cls, n: int, photon_mode: int, photon_pol: str, emitters: str) -> "SystemState":
         """Photon in one definite slot, each emitter in |+> or |->.
 
-        ``emitters`` is a string of '+'/'-' labels, emitter 0 first.  The
-        register is expanded into the energy basis immediately.
+        ``emitters`` is a string of '+'/'-' labels, emitter 0 first.  In
+        the plusminus basis that register is a single config with
+        amplitude 1.
         """
         if photon_pol not in POLARIZATIONS:
             raise StateOpError(f"polarization must be H or V, got {photon_pol!r}")
         if len(emitters) != n or set(emitters) - {"+", "-"}:
             raise StateOpError(f"emitters must be n '+'/'-' labels, got {emitters!r}")
-        scale = 2.0 ** (-n / 2.0)
-        amps: dict[Slot, complex] = {}
-        for c in range(1 << n):
-            sign = 1.0
-            for i, label in enumerate(emitters):
-                if c >> i & 1 and label == "-":
-                    sign = -sign
-            amps[(photon_mode, photon_pol, c)] = complex(sign * scale)
-        return cls(n, amps)
+        config = sum(1 << i for i, label in enumerate(emitters) if label == "-")
+        return cls(n, {(photon_mode, photon_pol, config): 1.0 + 0.0j})
 
     def copy(self) -> "SystemState":
         return SystemState(self.n, self.amplitudes, self.sinks, self.basis)
@@ -356,14 +356,15 @@ class SystemState:
     ) -> None:
         """Scatter the photon at in_mode off one emitter.
 
-        Diagonal in the energy basis: the g+ branch reflects with +r, the
-        g- branch with -r, and the reflected photon flips polarization.
+        The g+ branch reflects with +r and the g- branch with -r, so the
+        reflection is r*Z on the emitter: in the plusminus basis it flips
+        the emitter's bit.  The reflected photon flips polarization.
         Transmission and free-space emission both mean the herald will
         not fire, so their combined probability 1 - |r|^2 lands in the
         herald sink.
         """
-        if self.basis != ENERGY:
-            raise StateOpError("scattering requires the energy basis")
+        if self.basis != PLUSMINUS:
+            raise StateOpError("scattering requires the plusminus basis")
         if not 0 <= emitter < self.n:
             raise StateOpError(f"emitter index {emitter} out of range for n={self.n}")
         slots = self._slots_on_mode(in_mode)
@@ -376,9 +377,8 @@ class SystemState:
         for (m, p, c) in slots:
             a = self.amplitudes.pop((m, p, c))
             self._add_sink(herald_sink, miss * abs(a) ** 2)
-            sign = -1.0 if c & bit else 1.0
             out_pol = V if p == H else H
-            self._add((reflected_out, out_pol, c), sign * r * a)
+            self._add((reflected_out, out_pol, c ^ bit), r * a)
 
     def change_basis(self) -> None:
         """Hadamard every emitter, toggling energy <-> plusminus."""
@@ -395,9 +395,9 @@ class SystemState:
         """Project onto which detector fired.
 
         ``bank`` maps (mode, pol) -> detector id and must cover every
-        occupied slot.  Returns one outcome per detector that fires with
-        probability above threshold, sorted by detector id; each carries
-        the normalized register state conditioned on that click.
+        occupied slot.  Returns one outcome per detector that sees an
+        occupied slot, sorted by detector id; each carries the normalized
+        register state conditioned on that click.
         """
         ids = list(bank.values())
         if len(set(ids)) != len(ids):
@@ -415,8 +415,6 @@ class SystemState:
         for det in sorted(collected):
             amps = collected[det]
             prob = sum(abs(amps[c]) ** 2 for c in sorted(amps))
-            if prob < PRUNE_TOL:
-                continue
             scale = 1.0 / math.sqrt(prob)
             reg = EmitterState(self.n, self.basis, {c: a * scale for c, a in amps.items()})
             outcomes.append(DetectorOutcome(det, prob, reg))

@@ -358,12 +358,12 @@ def check_passive_elements() -> CheckResult:
 
 def check_feedforward_coverage() -> CheckResult:
     cases = [
-        ("klm2", 2, build_two_qubit()),
-        ("klm3", 3, build_three_qubit()),
-        ("klmN", 4, build_n_qubit(4)),
+        ("klm2", build_two_qubit()),
+        ("klm3", build_three_qubit()),
+        ("klmN", build_n_qubit(4)),
     ]
-    for proto, n, circ in cases:
-        rules = feedforward_rules(proto, n)
+    for proto, circ in cases:
+        rules = feedforward_rules(proto)
         ids = {d for _, d in circ.bank.mapping}
         if ids - set(rules):
             return CheckResult(

@@ -102,6 +102,14 @@ def test_averaged_fidelity_zero_sigma():
     assert res.evaluations == 1
 
 
+def test_fidelities_stay_in_unit_interval():
+    # each of these read 1 + a few ulps before the clamps
+    assert fidelity_kernel(2, EmitterParams(100.0, -0.19), np.zeros((1, 2)))[0] <= 1.0
+    for n in (1, 2, 4):
+        assert averaged_fidelity(n, EmitterParams(100.0, 0.0), 1e-13, order=10).value <= 1.0
+    assert 0.0 <= conditioned_fidelity(ProtocolParams(200, EmitterParams(100.0, 0.1))) <= 1.0
+
+
 def test_averaged_fidelity_monotone_in_sigma():
     vals = [
         averaged_fidelity(2, EmitterParams(100.0, 0.0), s).value
@@ -201,6 +209,8 @@ def test_sweep_broadening_curves():
         for y in res.series[label]:
             assert y == pytest.approx(1.0, abs=1e-10)
     assert any(v < 1.0 - 1e-6 for lb in res.series if "0.2" in lb for v in res.series[lb])
+    for ys in sweep("fig8").series.values():
+        assert all(0.0 <= y <= 1.0 for y in ys)
 
 
 def test_sweep_rejects_unknown_kind():

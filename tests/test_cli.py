@@ -124,6 +124,23 @@ def test_exit_code_flags(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "fidelity", "--n", "9", "--sigma", "0.1")
     assert code == 2
+    for grid in ("1:inf:3", "nan:10:3"):  # argparse rejects the flag itself
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--kind", "fig5a", "--grid", grid, "--log"])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
+
+def test_run_reports_tiny_herald_probability(capsys):
+    # a click probability of 2.7e-16 is a real outcome, not dust
+    code, out, _ = run_cli(capsys, "run", "--n", "10", "--purcell", "0.2")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["closed_form_success"] > 0
+    assert rep["herald_probability"] == pytest.approx(rep["closed_form_success"], rel=1e-9)
+    assert 0.0 <= rep["weighted_fidelity"] <= 1.0
+    for oc in rep["outcomes"]:
+        assert 0.0 <= oc["fidelity"] <= 1.0
 
 
 def test_exit_code_physics(tmp_path, capsys):

@@ -90,9 +90,9 @@ def test_feedforward_tables_are_what_the_states_need():
 
 
 def test_feedforward_rules_dispatch():
-    assert feedforward_rules("klm2", 2) == TWO_QUBIT_FEEDFORWARD
-    assert feedforward_rules("klm3", 3) == THREE_QUBIT_FEEDFORWARD
-    generic = feedforward_rules("klmN", 5)
+    assert feedforward_rules("klm2") == TWO_QUBIT_FEEDFORWARD
+    assert feedforward_rules("klm3") == THREE_QUBIT_FEEDFORWARD
+    generic = feedforward_rules("klmN")
     assert set(generic) == {"D1", "D2"}
     assert generic["D1"] == ()
     assert generic["D2"] == (0,)
@@ -138,7 +138,7 @@ def test_generic_chain_matches_dedicated():
 
 
 def test_generic_chain_scales():
-    for n in (4, 6):
+    for n in (4, 6, 40, 100):
         run = run_protocol(ProtocolParams(n, EmitterParams(100.0, 0.0)))
         rp = scatter_coeffs(EmitterParams(100.0, 0.0)).reflect_prob
         assert len(run.outcomes) == 2

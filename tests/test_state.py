@@ -48,13 +48,21 @@ def test_config_label_orders_first_emitter_first():
 
 def test_initial_state_register_and_norm():
     s = SystemState.initial(2, photon_mode=0, photon_pol=H, emitters="++")
+    assert s.basis == PLUSMINUS
+    assert s.amplitudes == {(0, H, 0b00): 1.0}
+    assert s.total_norm == pytest.approx(1.0, abs=1e-14)
+    # product of two |+> states: every energy config at 1/2
+    s.change_basis()
     assert s.basis == ENERGY
     assert s.total_norm == pytest.approx(1.0, abs=1e-14)
-    # product of two |+> states: every config at 1/2
     for c in range(4):
         assert s.amplitudes[(0, H, c)] == pytest.approx(0.5)
     t = SystemState.initial(2, 0, H, "+-")
+    assert t.amplitudes == {(0, H, 0b10): 1.0}
+    t.change_basis()
     assert t.amplitudes[(0, H, 0b10)] == pytest.approx(-0.5)
+    # one slot however large the register
+    assert len(SystemState.initial(60, 0, V, "+-" * 30).amplitudes) == 1
 
 
 def test_klm_target():
@@ -132,22 +140,69 @@ def test_scatter_conserves_norm_with_sink(seed):
 def test_scatter_sign_and_flip():
     c = scatter_coeffs(EmitterParams(100.0, 0.05))
     s = SystemState(2)
-    s.amplitudes[(0, H, 0b00)] = 1 / math.sqrt(2)
-    s.amplitudes[(0, H, 0b01)] = 1 / math.sqrt(2)
+    s.amplitudes[(0, H, 0b00)] = 0.6
+    s.amplitudes[(0, H, 0b10)] = 0.8
     s.apply_emitter_scatter(0, emitter=0, reflected_out=1, coeffs=c, herald_sink="m")
-    # emitter bit set picks up a minus sign; polarization flips H -> V
-    assert s.amplitudes[(1, V, 0b00)] == pytest.approx(c.r / math.sqrt(2), abs=1e-14)
-    assert s.amplitudes[(1, V, 0b01)] == pytest.approx(-c.r / math.sqrt(2), abs=1e-14)
-    assert (0, H, 0) not in s.amplitudes
+    # r*Z flips emitter 0's plusminus bit with +r; polarization flips H -> V
+    assert s.amplitudes[(1, V, 0b01)] == pytest.approx(0.6 * c.r, abs=1e-14)
+    assert s.amplitudes[(1, V, 0b11)] == pytest.approx(0.8 * c.r, abs=1e-14)
+    assert set(s.amplitudes) == {(1, V, 0b01), (1, V, 0b11)}
     assert s.sinks["m"] == pytest.approx(1 - c.reflect_prob, abs=1e-14)
 
+    # seen in the energy basis: the g- branch picks up a minus sign
+    e = SystemState(2, basis=ENERGY)
+    e.amplitudes[(0, H, 0b00)] = 1 / math.sqrt(2)
+    e.amplitudes[(0, H, 0b01)] = 1 / math.sqrt(2)
+    e.change_basis()
+    e.apply_emitter_scatter(0, emitter=0, reflected_out=1, coeffs=c, herald_sink="m")
+    e.change_basis()
+    assert e.amplitudes[(1, V, 0b00)] == pytest.approx(c.r / math.sqrt(2), abs=1e-14)
+    assert e.amplitudes[(1, V, 0b01)] == pytest.approx(-c.r / math.sqrt(2), abs=1e-14)
+    assert (0, H, 0) not in e.amplitudes
+    assert e.sinks["m"] == pytest.approx(1 - c.reflect_prob, abs=1e-14)
 
-def test_scatter_requires_energy_basis():
+
+def test_scatter_requires_plusminus_basis():
     s = SystemState.initial(1, 0, H, "+")
     s.change_basis()
-    assert s.basis == PLUSMINUS
+    assert s.basis == ENERGY
     with pytest.raises(StateOpError):
         s.apply_emitter_scatter(0, 0, scatter_coeffs(EmitterParams()), 1, "m")
+
+
+def energy_sign_scatter(s, in_mode, emitter, r, out_mode):
+    """Reference scatter: Hadamard, +-r sign on the energy bit, Hadamard."""
+    e = s.copy()
+    e.change_basis()
+    assert e.basis == ENERGY
+    amps = {}
+    for (m, p, c), a in e.amplitudes.items():
+        if m == in_mode:
+            key, a = (out_mode, V if p == H else H, c), (-r if c >> emitter & 1 else r) * a
+        else:
+            key = (m, p, c)
+        amps[key] = amps.get(key, 0.0) + a
+    e.amplitudes = amps
+    e.change_basis()
+    return e
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
+def test_plusminus_scatter_matches_energy_sign_scatter(seed, n):
+    rng = np.random.default_rng(seed)
+    s = random_state(rng, n=n, modes=(0, 1, 2))
+    for (m, p, c) in list(s.amplitudes):  # scattering input is single-pol
+        if m == 0 and p == V:
+            s._add((0, H, c), s.amplitudes.pop((m, p, c)))
+    emitter = int(rng.integers(n))
+    out_mode = int(rng.choice([1, 3]))  # onto an occupied or an empty mode
+    c = scatter_coeffs(EmitterParams(purcell=rng.uniform(1, 200), detuning=rng.uniform(-0.3, 0.3)))
+    ref = energy_sign_scatter(s, 0, emitter, c.r, out_mode)
+    s.apply_emitter_scatter(0, emitter=emitter, reflected_out=out_mode, coeffs=c, herald_sink="m")
+    assert s.basis == ref.basis == PLUSMINUS
+    ref.sinks = dict(s.sinks)
+    assert s.allclose(ref, tol=1e-12)
 
 
 def test_pbs_routes_and_merges():
@@ -192,10 +247,10 @@ def test_change_basis_round_trip():
     s = random_state(rng, n=3, modes=(0, 1))
     ref = s.copy()
     s.change_basis()
-    assert s.basis == PLUSMINUS
+    assert s.basis == ENERGY
     assert s.total_norm == pytest.approx(ref.total_norm, abs=1e-12)
     s.change_basis()
-    assert s.basis == ENERGY
+    assert s.basis == PLUSMINUS
     assert s.allclose(ref, tol=1e-12)
 
 
