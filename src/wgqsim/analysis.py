@@ -22,7 +22,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from .params import ProtocolParams
 from .scatter import EmitterParams, InvalidParameterError, scatter_coeffs
-from .protocols import default_protocol, run_protocol
+from .protocols import run_protocol
 
 DEFAULT_GH_ORDER = 20
 GH_NODE_BUDGET = 200_000
@@ -47,25 +47,13 @@ def simulated_success_probability(
     return run.herald_probability
 
 
-def conditioned_fidelity(
-    params: ProtocolParams,
-    protocol: str | None = None,
-    weighting: str = "herald",
-) -> float:
+def conditioned_fidelity(params: ProtocolParams, protocol: str | None = None) -> float:
     """Fidelity of the corrected register state with the target.
 
-    Runs the full circuit.  'herald' weights each detector by its click
-    probability; 'uniform' averages the per-detector fidelities with
-    equal weight.
+    Runs the full circuit and weights each detector by its click
+    probability.
     """
-    run = run_protocol(params, protocol=protocol)
-    if weighting == "herald":
-        return run.weighted_fidelity
-    if weighting == "uniform":
-        if not run.outcomes:
-            raise InvalidParameterError("no herald fired, fidelity undefined")
-        return sum(oc.fidelity for oc in run.outcomes) / len(run.outcomes)
-    raise InvalidParameterError(f"unknown weighting {weighting!r}")
+    return run_protocol(params, protocol=protocol).weighted_fidelity
 
 
 def fidelity_kernel(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .params import ProtocolParams
 from .scatter import hwp_matrix
-from .state import POLARIZATIONS, PLUSMINUS, DetectorOutcome, StateOpError, SystemState
+from .state import POLARIZATIONS, DetectorOutcome, StateOpError, SystemState
 
 NORM_TOL = 1e-10
 
@@ -361,9 +361,9 @@ def execute(
     """Run a circuit, checking conservation after every component.
 
     ``initial`` defaults to the circuit's declared input state.  With
-    ``trace`` on, a snapshot converted to the energy basis is stored
-    after every component.  Bit-for-bit deterministic: identical inputs
-    give identical results.
+    ``trace`` on, a copy of the live state, in the basis the report
+    uses, is stored after every component.  Bit-for-bit deterministic:
+    identical inputs give identical results.
     """
     circuit.validate()
     if params is not None and params.n != circuit.n_emitters:
@@ -388,10 +388,7 @@ def execute(
         if drift > NORM_TOL:
             raise NormViolationError(i, type(comp).__name__, drift)
         if steps is not None:
-            snap = state.copy()
-            if snap.basis == PLUSMINUS:
-                snap.change_basis()
-            steps.append(TraceStep(i, comp, snap))
+            steps.append(TraceStep(i, comp, state.copy()))
     return ExecutionResult(outcomes, dict(state.sinks), state, steps)
 
 

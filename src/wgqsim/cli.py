@@ -36,7 +36,13 @@ from .analysis import (
 from .circuit import Circuit, CircuitError, execute
 from .netlist import BUILTIN_NETLISTS, NetlistError, builtin_netlist_text, parse
 from .params import ProtocolParams
-from .protocols import PROTOCOLS, build_protocol, infer_protocol, postprocess_execution
+from .protocols import (
+    PROTOCOLS,
+    build_protocol,
+    default_protocol,
+    infer_protocol,
+    postprocess_execution,
+)
 from .scatter import EmitterParams, InvalidParameterError, scatter_coeffs
 from .state import EmitterState, StateOpError, config_label
 from .verify import run_checks
@@ -196,7 +202,7 @@ def cmd_run(args) -> int:
             raise InvalidParameterError(f"{protocol} runs on exactly {fixed} emitters")
         n = fixed
     if protocol is None:
-        protocol = "klm2" if n == 2 else "klm3" if n == 3 else "klmN"
+        protocol = default_protocol(n)
     if n is None:
         raise InvalidParameterError("--protocol klmN needs --n")
     offsets = args.offsets or ()

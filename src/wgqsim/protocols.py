@@ -38,7 +38,7 @@ from .circuit import (
 )
 from .params import ProtocolParams
 from .scatter import PREP_ANGLE_THREE_QUBIT, PREP_ANGLE_TWO_QUBIT
-from .state import PLUSMINUS, EmitterState, StateOpError, klm_target
+from .state import EmitterState, StateOpError, klm_target
 
 PROTOCOLS = ("klm2", "klm3", "klmN")
 
@@ -317,8 +317,6 @@ def postprocess_execution(
     outcomes = []
     for oc in result.outcomes:
         reg = oc.state
-        if reg.basis != PLUSMINUS:
-            raise StateOpError("detector output was not in the plusminus basis")
         if rules is None:
             outcomes.append(
                 HeraldedOutcome(oc.detector, oc.probability, reg.phase_normalized())

@@ -6,14 +6,13 @@ A pure state is stored as a sparse map
 
     (mode, polarization, config) -> complex amplitude
 
-where ``config`` is an N-bit integer, bit i describing emitter i.  What a
-set bit means depends on the basis tag: in the "plusminus" basis bit 0/1
-is the diagonal state (g+ +- g-)/sqrt2, in the "energy" basis it is the
-ground sublevel g+/g-.  States live in the plusminus basis: the g+ branch
-reflects with +r and the g- branch with -r, so a scatter is r*Z on one
-emitter, which there flips a single bit.  The '+'/'-' input register is
-one config, and a run never leaves the basis it reports in.  Only trace
-snapshots are converted to the energy basis.
+where ``config`` is an N-bit integer, bit i describing emitter i in the
+plusminus basis: bit 0/1 is the diagonal state (g+ +- g-)/sqrt2, printed
+'+'/'-'.  The g+ branch reflects with +r and the g- branch with -r, so a
+scatter is r*Z on one emitter, which flips a single bit.  The '+'/'-'
+input register is one config, and runs, traces and reports all use this
+one basis.  ``EmitterState`` can still Hadamard a register into the
+energy basis (bit 0/1 is the ground sublevel g+/g-) for reference.
 
 Photon loss channels are classical once the photon is gone, so they are
 tracked as real probability sinks, not amplitudes.  The conserved total is
@@ -87,12 +86,6 @@ class EmitterState:
     def norm_sq(self) -> float:
         return sum(abs(self.amps[c]) ** 2 for c in sorted(self.amps))
 
-    def normalized(self) -> "EmitterState":
-        nrm = math.sqrt(self.norm_sq())
-        if nrm < PRUNE_TOL:
-            raise StateOpError("cannot normalize a null state")
-        return EmitterState(self.n, self.basis, {c: a / nrm for c, a in self.amps.items()})
-
     def overlap(self, other: "EmitterState") -> complex:
         """<self|other>.  Both states must share n and basis."""
         if self.n != other.n or self.basis != other.basis:
@@ -154,12 +147,6 @@ class EmitterState:
         phase = ref / abs(ref)
         return EmitterState(self.n, self.basis, {c: a / phase for c, a in self.amps.items()})
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros(1 << self.n, dtype=complex)
-        for c, a in self.amps.items():
-            out[c] = a
-        return out
-
 
 def klm_target(n: int) -> EmitterState:
     """Uniform superposition of the N+1 domain-wall register states.
@@ -198,21 +185,17 @@ class DetectorOutcome:
 class SystemState:
     """Mutable photon + register state.  Value semantics via copy()."""
 
-    __slots__ = ("n", "basis", "amplitudes", "sinks")
+    __slots__ = ("n", "amplitudes", "sinks")
 
     def __init__(
         self,
         n: int,
         amplitudes: dict[Slot, complex] | None = None,
         sinks: dict[str, float] | None = None,
-        basis: str = PLUSMINUS,
     ):
         if n < 1:
             raise StateOpError(f"need at least one emitter, got n={n}")
-        if basis not in (ENERGY, PLUSMINUS):
-            raise StateOpError(f"unknown basis {basis!r}")
         self.n = n
-        self.basis = basis
         self.amplitudes: dict[Slot, complex] = dict(amplitudes or {})
         self.sinks: dict[str, float] = dict(sinks or {})
 
@@ -222,9 +205,8 @@ class SystemState:
     def initial(cls, n: int, photon_mode: int, photon_pol: str, emitters: str) -> "SystemState":
         """Photon in one definite slot, each emitter in |+> or |->.
 
-        ``emitters`` is a string of '+'/'-' labels, emitter 0 first.  In
-        the plusminus basis that register is a single config with
-        amplitude 1.
+        ``emitters`` is a string of '+'/'-' labels, emitter 0 first; that
+        register is a single config with amplitude 1.
         """
         if photon_pol not in POLARIZATIONS:
             raise StateOpError(f"polarization must be H or V, got {photon_pol!r}")
@@ -234,7 +216,7 @@ class SystemState:
         return cls(n, {(photon_mode, photon_pol, config): 1.0 + 0.0j})
 
     def copy(self) -> "SystemState":
-        return SystemState(self.n, self.amplitudes, self.sinks, self.basis)
+        return SystemState(self.n, self.amplitudes, self.sinks)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -244,12 +226,6 @@ class SystemState:
         amp_part = sum(abs(self.amplitudes[k]) ** 2 for k in sorted(self.amplitudes))
         sink_part = sum(self.sinks[k] for k in sorted(self.sinks))
         return amp_part + sink_part
-
-    def photon_probability(self) -> float:
-        return sum(abs(self.amplitudes[k]) ** 2 for k in sorted(self.amplitudes))
-
-    def occupied_modes(self) -> list[int]:
-        return sorted({m for m, _, _ in self.amplitudes})
 
     def _slots_on_mode(self, mode: int) -> list[Slot]:
         return sorted(k for k in self.amplitudes if k[0] == mode)
@@ -357,14 +333,12 @@ class SystemState:
         """Scatter the photon at in_mode off one emitter.
 
         The g+ branch reflects with +r and the g- branch with -r, so the
-        reflection is r*Z on the emitter: in the plusminus basis it flips
-        the emitter's bit.  The reflected photon flips polarization.
+        reflection is r*Z on the emitter, which flips the emitter's bit.
+        The reflected photon flips polarization.
         Transmission and free-space emission both mean the herald will
         not fire, so their combined probability 1 - |r|^2 lands in the
         herald sink.
         """
-        if self.basis != PLUSMINUS:
-            raise StateOpError("scattering requires the plusminus basis")
         if not 0 <= emitter < self.n:
             raise StateOpError(f"emitter index {emitter} out of range for n={self.n}")
         slots = self._slots_on_mode(in_mode)
@@ -379,17 +353,6 @@ class SystemState:
             self._add_sink(herald_sink, miss * abs(a) ** 2)
             out_pol = V if p == H else H
             self._add((reflected_out, out_pol, c ^ bit), r * a)
-
-    def change_basis(self) -> None:
-        """Hadamard every emitter, toggling energy <-> plusminus."""
-        groups: dict[tuple[int, str], dict[int, complex]] = {}
-        for (m, p, c) in sorted(self.amplitudes):
-            groups.setdefault((m, p), {})[c] = self.amplitudes[(m, p, c)]
-        self.amplitudes = {}
-        for (m, p) in sorted(groups):
-            for c, a in _hadamard_all_bits(groups[(m, p)], self.n).items():
-                self.amplitudes[(m, p, c)] = a
-        self.basis = PLUSMINUS if self.basis == ENERGY else ENERGY
 
     def measure_detector_bank(self, bank: dict[Slot2, str]) -> list[DetectorOutcome]:
         """Project onto which detector fired.
@@ -416,7 +379,7 @@ class SystemState:
             amps = collected[det]
             prob = sum(abs(amps[c]) ** 2 for c in sorted(amps))
             scale = 1.0 / math.sqrt(prob)
-            reg = EmitterState(self.n, self.basis, {c: a * scale for c, a in amps.items()})
+            reg = EmitterState(self.n, PLUSMINUS, {c: a * scale for c, a in amps.items()})
             outcomes.append(DetectorOutcome(det, prob, reg))
         return outcomes
 
@@ -431,7 +394,7 @@ class SystemState:
         return "\n".join(sorted(lines))
 
     def allclose(self, other: "SystemState", tol: float = 1e-12) -> bool:
-        if self.n != other.n or self.basis != other.basis:
+        if self.n != other.n:
             return False
         keys = self.amplitudes.keys() | other.amplitudes.keys()
         if any(

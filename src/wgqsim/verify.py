@@ -208,9 +208,7 @@ def check_three_qubit_table() -> CheckResult:
 def _interference_snapshot(circuit, params):
     idx = circuit.find(Mixer, label="bs")[0]
     result = execute(circuit, params=params, trace=True)
-    snap = result.trace[idx].state.copy()
-    snap.change_basis()
-    return snap
+    return result.trace[idx].state
 
 
 def check_two_qubit_interference() -> CheckResult:

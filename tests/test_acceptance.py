@@ -154,9 +154,7 @@ def test_criterion_06_interference_patterns():
         def snapshot(circ, params):
             idx = circ.find(Mixer, label="bs")[0]
             res = execute(circ, params=params, trace=True)
-            snap = res.trace[idx].state.copy()
-            snap.change_basis()
-            return snap
+            return res.trace[idx].state
 
         snap = snapshot(build_two_qubit(), params2)
         scale = r ** 2 / (2.0 * math.sqrt(3.0))

@@ -20,7 +20,7 @@ from wgqsim.circuit import (
     execute,
 )
 from wgqsim.params import ProtocolParams
-from wgqsim.protocols import build_two_qubit
+from wgqsim.protocols import build_n_qubit, build_two_qubit
 from wgqsim.scatter import EmitterParams
 
 
@@ -144,6 +144,13 @@ def test_trace_records_every_component():
     res2 = execute(c, params=params)
     with pytest.raises(CircuitError):
         res2.trace_dump()
+    # snapshots are copies of the live state: a chain holds at most
+    # 2(n+1) slots
+    n = 12
+    params = ProtocolParams(n, EmitterParams(100.0, 0.1))
+    res = execute(build_n_qubit(n), params=params, trace=True)
+    assert all(len(step.state.amplitudes) <= 2 * (n + 1) for step in res.trace)
+    assert res.trace[-1].state.allclose(res.final, tol=0)
 
 
 def test_find_locates_labeled_components():

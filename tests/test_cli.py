@@ -99,6 +99,22 @@ def test_exec_reads_file_and_writes_trace(tmp_path, capsys):
     text = trace.read_text()
     assert text.startswith("# step 0 ")
     assert "np.float64" not in text
+    # the last step is the detector bank; its slots, labeled in the
+    # report's '+'/'-' basis, give each detector's conditioned register
+    bank = build_three_qubit().components[-1].mapping_dict
+    per_det = {}
+    for line in text.strip().split("\n\n")[-1].splitlines()[1:]:
+        mode, pol, cfg, re_s, im_s = line.split(",")
+        det = bank[(int(mode), pol)]
+        per_det.setdefault(det, {})[cfg] = complex(float(re_s), float(im_s))
+    assert set(per_det) == {oc["detector"] for oc in rep["outcomes"]}
+    for oc in rep["outcomes"]:
+        amps = per_det[oc["detector"]]
+        ref = amps["+++"]
+        scale = abs(ref) / (ref * math.sqrt(oc["probability"]))
+        assert set(amps) == set(oc["conditioned"])
+        for cfg, (re, im) in oc["conditioned"].items():
+            assert abs(amps[cfg] * scale - complex(re, im)) <= 1e-12
 
 
 def test_exit_code_io(capsys):

@@ -39,6 +39,29 @@ def random_state(rng, n=2, modes=(0, 1, 2)):
     return s
 
 
+def per_slot_change_basis(amplitudes, n, basis):
+    """Hadamard the register of each (mode, pol) slot via EmitterState.
+
+    ``basis`` is the basis the amplitudes are in; the result is in the other.
+    """
+    groups = {}
+    for (m, p, c), a in amplitudes.items():
+        groups.setdefault((m, p), {})[c] = a
+    out = {}
+    for (m, p), amps in sorted(groups.items()):
+        for c, a in EmitterState(n, basis, amps).change_basis().amps.items():
+            out[(m, p, c)] = a
+    return out
+
+
+def to_energy(s):
+    return per_slot_change_basis(s.amplitudes, s.n, PLUSMINUS)
+
+
+def from_energy(amplitudes, n, sinks=None):
+    return SystemState(n, per_slot_change_basis(amplitudes, n, ENERGY), sinks)
+
+
 def test_config_label_orders_first_emitter_first():
     assert config_label(0, 3) == "+++"
     assert config_label(1, 3) == "-++"
@@ -48,19 +71,16 @@ def test_config_label_orders_first_emitter_first():
 
 def test_initial_state_register_and_norm():
     s = SystemState.initial(2, photon_mode=0, photon_pol=H, emitters="++")
-    assert s.basis == PLUSMINUS
     assert s.amplitudes == {(0, H, 0b00): 1.0}
     assert s.total_norm == pytest.approx(1.0, abs=1e-14)
     # product of two |+> states: every energy config at 1/2
-    s.change_basis()
-    assert s.basis == ENERGY
-    assert s.total_norm == pytest.approx(1.0, abs=1e-14)
+    e = to_energy(s)
+    assert sum(abs(a) ** 2 for a in e.values()) == pytest.approx(1.0, abs=1e-14)
     for c in range(4):
-        assert s.amplitudes[(0, H, c)] == pytest.approx(0.5)
+        assert e[(0, H, c)] == pytest.approx(0.5)
     t = SystemState.initial(2, 0, H, "+-")
     assert t.amplitudes == {(0, H, 0b10): 1.0}
-    t.change_basis()
-    assert t.amplitudes[(0, H, 0b10)] == pytest.approx(-0.5)
+    assert to_energy(t)[(0, H, 0b10)] == pytest.approx(-0.5)
     # one slot however large the register
     assert len(SystemState.initial(60, 0, V, "+-" * 30).amplitudes) == 1
 
@@ -150,41 +170,25 @@ def test_scatter_sign_and_flip():
     assert s.sinks["m"] == pytest.approx(1 - c.reflect_prob, abs=1e-14)
 
     # seen in the energy basis: the g- branch picks up a minus sign
-    e = SystemState(2, basis=ENERGY)
-    e.amplitudes[(0, H, 0b00)] = 1 / math.sqrt(2)
-    e.amplitudes[(0, H, 0b01)] = 1 / math.sqrt(2)
-    e.change_basis()
+    e = from_energy({(0, H, 0b00): 1 / math.sqrt(2), (0, H, 0b01): 1 / math.sqrt(2)}, 2)
     e.apply_emitter_scatter(0, emitter=0, reflected_out=1, coeffs=c, herald_sink="m")
-    e.change_basis()
-    assert e.amplitudes[(1, V, 0b00)] == pytest.approx(c.r / math.sqrt(2), abs=1e-14)
-    assert e.amplitudes[(1, V, 0b01)] == pytest.approx(-c.r / math.sqrt(2), abs=1e-14)
-    assert (0, H, 0) not in e.amplitudes
+    out = to_energy(e)
+    assert out[(1, V, 0b00)] == pytest.approx(c.r / math.sqrt(2), abs=1e-14)
+    assert out[(1, V, 0b01)] == pytest.approx(-c.r / math.sqrt(2), abs=1e-14)
+    assert (0, H, 0) not in out
     assert e.sinks["m"] == pytest.approx(1 - c.reflect_prob, abs=1e-14)
-
-
-def test_scatter_requires_plusminus_basis():
-    s = SystemState.initial(1, 0, H, "+")
-    s.change_basis()
-    assert s.basis == ENERGY
-    with pytest.raises(StateOpError):
-        s.apply_emitter_scatter(0, 0, scatter_coeffs(EmitterParams()), 1, "m")
 
 
 def energy_sign_scatter(s, in_mode, emitter, r, out_mode):
     """Reference scatter: Hadamard, +-r sign on the energy bit, Hadamard."""
-    e = s.copy()
-    e.change_basis()
-    assert e.basis == ENERGY
     amps = {}
-    for (m, p, c), a in e.amplitudes.items():
+    for (m, p, c), a in to_energy(s).items():
         if m == in_mode:
             key, a = (out_mode, V if p == H else H, c), (-r if c >> emitter & 1 else r) * a
         else:
             key = (m, p, c)
         amps[key] = amps.get(key, 0.0) + a
-    e.amplitudes = amps
-    e.change_basis()
-    return e
+    return from_energy(amps, s.n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,7 +204,6 @@ def test_plusminus_scatter_matches_energy_sign_scatter(seed, n):
     c = scatter_coeffs(EmitterParams(purcell=rng.uniform(1, 200), detuning=rng.uniform(-0.3, 0.3)))
     ref = energy_sign_scatter(s, 0, emitter, c.r, out_mode)
     s.apply_emitter_scatter(0, emitter=emitter, reflected_out=out_mode, coeffs=c, herald_sink="m")
-    assert s.basis == ref.basis == PLUSMINUS
     ref.sinks = dict(s.sinks)
     assert s.allclose(ref, tol=1e-12)
 
@@ -244,14 +247,15 @@ def test_attenuator_drops_to_sink():
 
 def test_change_basis_round_trip():
     rng = np.random.default_rng(7)
-    s = random_state(rng, n=3, modes=(0, 1))
-    ref = s.copy()
-    s.change_basis()
-    assert s.basis == ENERGY
-    assert s.total_norm == pytest.approx(ref.total_norm, abs=1e-12)
-    s.change_basis()
-    assert s.basis == PLUSMINUS
-    assert s.allclose(ref, tol=1e-12)
+    ref = EmitterState(3, PLUSMINUS, {c: complex(rng.normal(), rng.normal()) for c in range(8)})
+    e = ref.change_basis()
+    assert e.basis == ENERGY
+    assert e.norm_sq() == pytest.approx(ref.norm_sq(), abs=1e-12)
+    back = e.change_basis()
+    assert back.basis == PLUSMINUS
+    assert set(back.amps) == set(ref.amps)
+    for c in ref.amps:
+        assert back.amps[c] == pytest.approx(ref.amps[c], abs=1e-12)
 
 
 def test_measure_detector_bank():
