@@ -10,11 +10,22 @@ Inhomogeneous broadening: each emitter's detuning offset is drawn from
 a zero-mean normal with width sigma.  The average fidelity integral is
 evaluated either on a tensor Gauss-Hermite grid (exact for smooth
 integrands, cost order**n) or by seeded Monte-Carlo sampling.
+
+Both averages share one private recursion, ``_chain_fidelity``, which
+walks the chain once in Horner form and takes one array of detuning
+offsets per emitter.  The Monte-Carlo kernel passes one column of the
+offset batch per emitter.  The Gauss-Hermite mean passes the ``order``
+Hermite nodes, reshaped onto its own axis for each emitter, so
+broadcasting builds the order**n tensor; the weights are the outer
+product of the 1-D Hermite weights.  Neither builds a node list nor a
+matrix of branch weights.  Only the 'simulation' integrand under
+Gauss-Hermite lists its nodes, since it runs one circuit per node.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +67,34 @@ def conditioned_fidelity(params: ProtocolParams, protocol: str | None = None) ->
     return run_protocol(params, protocol=protocol).weighted_fidelity
 
 
+def _chain_fidelity(
+    nominal: EmitterParams, offsets: Iterable[np.ndarray]
+) -> np.ndarray:
+    """Corrected-state fidelity from one array of offsets per emitter.
+
+    With r_m the reflection amplitude at each offset of emitter m,
+    Horner's rule over m = 0..n-1, starting from total = mass = 1:
+
+        total <- total * r_m + rnom**(m+1)
+        mass  <- mass * |r_m|**2 + |rnom|**(2(m+1))
+
+    leaves total = sum_j w_j and mass = sum_j |w_j|**2, so no branch
+    weight is ever stored.  The offset arrays broadcast against each
+    other and the result takes their joint shape.
+    """
+    rnom = scatter_coeffs(nominal).r
+    inv_p = 1.0 / nominal.purcell
+    total, mass, n = 1.0 + 0.0j, 1.0, 0
+    for offset in offsets:
+        n += 1
+        r = -1.0 / (1.0 + inv_p - 2.0j * (nominal.detuning + offset))
+        total = total * r
+        total += rnom ** n
+        mass = mass * (r.real * r.real + r.imag * r.imag)
+        mass += abs(rnom) ** (2 * n)
+    return np.minimum((total.real ** 2 + total.imag ** 2) / ((n + 1) * mass), 1.0)
+
+
 def fidelity_kernel(
     n: int, nominal: EmitterParams, offsets: np.ndarray
 ) -> np.ndarray:
@@ -68,30 +107,21 @@ def fidelity_kernel(
 
         F = |sum_j w_j|^2 / ((n+1) * sum_j |w_j|^2).
 
-    Agrees with the circuit route to machine precision; the tests pin
-    that down.  Cauchy-Schwarz bounds F by 1; rounding above that is
-    clamped.
+    Both sums are accumulated by one Horner pass over the emitters, one
+    offset column (length batch) at a time, so the cost is O(batch * n)
+    with no (batch, n+1) weight matrix.  Agrees with the circuit route
+    to machine precision; the tests pin that down.  Cauchy-Schwarz
+    bounds F by 1; rounding above that is clamped.
     """
+    if n < 1:
+        raise InvalidParameterError(f"need n >= 1, got {n}")
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
     if offsets.shape[1] != n:
         raise InvalidParameterError(
             f"offset batch has {offsets.shape[1]} columns, expected {n}"
         )
-    inv_p = 1.0 / nominal.purcell
-    d = nominal.detuning + offsets
-    r = -1.0 / (1.0 + inv_p - 2.0j * d)  # (batch, n)
-    rnom = scatter_coeffs(nominal).r
-    batch = offsets.shape[0]
-    w = np.empty((batch, n + 1), dtype=complex)
-    # suffix products: w[:, j] = rnom^j * prod(r[:, j:])
-    suffix = np.ones(batch, dtype=complex)
-    w[:, n] = rnom ** n
-    for j in range(n - 1, -1, -1):
-        suffix = suffix * r[:, j]
-        w[:, j] = rnom ** j * suffix
-    num = np.abs(w.sum(axis=1)) ** 2
-    den = (n + 1) * (np.abs(w) ** 2).sum(axis=1)
-    return np.minimum(num / den, 1.0)
+    # one contiguous row per emitter
+    return _chain_fidelity(nominal, np.ascontiguousarray(offsets.T))
 
 
 @dataclass(frozen=True)
@@ -123,10 +153,18 @@ def averaged_fidelity(
     integrand 'kernel' evaluates the closed form; 'simulation' runs the
     full circuit per node, which is slow and meant for cross-checks.
     """
-    if sigma < 0:
-        raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
+    if n < 1:
+        raise InvalidParameterError(f"need n >= 1, got {n}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
+    if method not in ("gh", "mc"):
+        raise InvalidParameterError(f"unknown method {method!r}")
     if integrand not in ("kernel", "simulation"):
         raise InvalidParameterError(f"unknown integrand {integrand!r}")
+    if method == "gh" and order < 1:
+        raise InvalidParameterError(f"order must be >= 1, got {order}")
+    if method == "mc" and samples < 2:
+        raise InvalidParameterError(f"need at least 2 samples, got {samples}")
 
     def evaluate(block: np.ndarray) -> np.ndarray:
         if integrand == "kernel":
@@ -143,36 +181,35 @@ def averaged_fidelity(
         return AveragedFidelity(val, None if method == "gh" else 0.0, 1, method)
 
     if method == "gh":
-        if order < 1:
-            raise InvalidParameterError(f"order must be >= 1, got {order}")
         if order ** n > GH_NODE_BUDGET:
             raise QuadratureBudgetError(
                 f"gauss-hermite grid {order}^{n} exceeds {GH_NODE_BUDGET} nodes; "
                 "use method='mc'"
             )
         x, wts = hermgauss(order)
-        grids = np.meshgrid(*([x] * n), indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=1) * (math.sqrt(2.0) * sigma)
-        wgrids = np.meshgrid(*([wts] * n), indexing="ij")
-        weight = np.ones(nodes.shape[0])
-        for g in wgrids:
-            weight = weight * g.ravel()
-        vals = evaluate(nodes)
-        # the weights sum to pi^(n/2) only up to rounding
-        mean = min(1.0, float((weight * vals).sum() / math.pi ** (n / 2.0)))
-        return AveragedFidelity(mean, None, nodes.shape[0], "gh")
+        nodes = x * (math.sqrt(2.0) * sigma)
 
-    if method == "mc":
-        if samples < 2:
-            raise InvalidParameterError(f"need at least 2 samples, got {samples}")
-        rng = np.random.default_rng(seed)
-        draws = rng.normal(0.0, sigma, size=(samples, n))
-        vals = evaluate(draws)
-        mean = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / math.sqrt(samples))
-        return AveragedFidelity(mean, stderr, samples, "mc")
+        def on_axis(k: int, values: np.ndarray) -> np.ndarray:
+            return values.reshape((1,) * k + (order,) + (1,) * (n - 1 - k))
 
-    raise InvalidParameterError(f"unknown method {method!r}")
+        weight = 1.0
+        for k in range(n):
+            weight = weight * on_axis(k, wts)
+        if integrand == "kernel":
+            # emitter m on axis n-1-m: the last, widest products then run
+            # over a contiguous inner axis, about 3x faster than axis m
+            vals = _chain_fidelity(nominal, (on_axis(n - 1 - m, nodes) for m in range(n)))
+        else:
+            grid = np.stack(np.meshgrid(*([nodes] * n), indexing="ij"), axis=-1)
+            vals = evaluate(grid.reshape(-1, n)).reshape(weight.shape)
+        # the weights sum to pi^(n/2) only up to rounding; NaN stays NaN
+        mean = np.minimum(np.sum(weight * vals) / math.pi ** (n / 2.0), 1.0)
+        return AveragedFidelity(float(mean), None, order ** n, "gh")
+
+    rng = np.random.default_rng(seed)
+    vals = evaluate(rng.normal(0.0, sigma, size=(samples, n)))
+    stderr = float(vals.std(ddof=1) / math.sqrt(samples))
+    return AveragedFidelity(float(vals.mean()), stderr, samples, "mc")
 
 
 # -- sweeps -------------------------------------------------------------

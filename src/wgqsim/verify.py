@@ -292,7 +292,7 @@ def check_generic_vs_dedicated() -> CheckResult:
 def check_kernel_vs_simulation() -> CheckResult:
     rng = np.random.default_rng(11)
     worst = 0.0
-    for n in (2, 3):
+    for n in (2, 3, 12):
         nominal = EmitterParams(purcell=80.0, detuning=0.05)
         offs = rng.normal(0.0, 0.2, size=(6, n))
         kv = fidelity_kernel(n, nominal, offs)

@@ -6,6 +6,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgqsim.analysis import (
     DEFAULT_GH_ORDER,
@@ -19,7 +21,7 @@ from wgqsim.analysis import (
     sweep,
 )
 from wgqsim.params import ProtocolParams
-from wgqsim.scatter import EmitterParams, InvalidParameterError, scatter_coeffs
+from wgqsim.scatter import IDEAL, EmitterParams, InvalidParameterError, scatter_coeffs
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -40,6 +42,34 @@ def brute_force_fidelity(n, nominal, offsets):
     num = abs(sum(ws)) ** 2
     den = (n + 1) * sum(abs(w) ** 2 for w in ws)
     return num / den
+
+
+def suffix_product_fidelity(nominal, offsets):
+    """Reference for a (batch, n) offset matrix: the n+1 branch weights
+    w_j = rnom**j * prod(r_i, i >= j) stored as suffix products."""
+    n = offsets.shape[1]
+    a = 1.0 + 1.0 / nominal.purcell
+    r = -1.0 / (a - 2.0j * (nominal.detuning + offsets))
+    rnom = -1.0 / (a - 2.0j * nominal.detuning)
+    suffix = np.ones((offsets.shape[0], n + 1), dtype=complex)
+    suffix[:, :n] = np.cumprod(r[:, ::-1], axis=1)[:, ::-1]
+    w = suffix * rnom ** np.arange(n + 1)
+    return np.abs(w.sum(axis=1)) ** 2 / ((n + 1) * (np.abs(w) ** 2).sum(axis=1))
+
+
+def meshgrid_gh_fidelity(n, nominal, sigma, order):
+    """Reference Gauss-Hermite mean from an explicit (order**n, n) node list."""
+    x, wts = np.polynomial.hermite.hermgauss(order)
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*([x] * n), indexing="ij")], axis=1)
+    weight = np.prod(
+        np.stack([g.ravel() for g in np.meshgrid(*([wts] * n), indexing="ij")], axis=1),
+        axis=1,
+    )
+    vals = suffix_product_fidelity(nominal, nodes * (math.sqrt(2.0) * sigma))
+    return min(1.0, float((weight * vals).sum() / math.pi ** (n / 2.0)))
+
+
+purcells = st.one_of(st.just(IDEAL), st.floats(-1.0, 3.0).map(lambda e: 10.0 ** e))
 
 
 def test_success_probability_values():
@@ -88,6 +118,72 @@ def test_kernel_matches_dense_reference():
         kern = fidelity_kernel(n, nominal, offsets)
         for row, f in zip(offsets, kern):
             assert f == pytest.approx(brute_force_fidelity(n, nominal, row), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 14), purcells, st.floats(-0.5, 0.5), st.floats(0.0, 0.3),
+    st.integers(1, 50), st.integers(0, 2 ** 31 - 1),
+)
+def test_kernel_matches_suffix_products(n, purcell, d, spread, batch, seed):
+    nominal = EmitterParams(purcell, d)
+    offsets = np.random.default_rng(seed).normal(0.0, spread, size=(batch, n))
+    want = np.minimum(suffix_product_fidelity(nominal, offsets), 1.0)
+    np.testing.assert_allclose(fidelity_kernel(n, nominal, offsets), want, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 20), purcells, st.floats(-0.5, 0.5),
+       st.floats(1e-3, 0.3))
+def test_gh_matches_meshgrid_nodes(n, order, purcell, d, sigma):
+    nominal = EmitterParams(purcell, d)
+    res = averaged_fidelity(n, nominal, sigma, order=order)
+    assert res.evaluations == order ** n
+    assert res.value == pytest.approx(meshgrid_gh_fidelity(n, nominal, sigma, order), rel=1e-13)
+
+
+def test_mc_simulation_matches_kernel_beyond_gh_grid():
+    # n=12 is far past the tensor grid's budget; each sample is a circuit run
+    nominal = EmitterParams(80.0, 0.05)
+    kern = averaged_fidelity(12, nominal, 0.1, method="mc", samples=40, seed=9)
+    sim = averaged_fidelity(
+        12, nominal, 0.1, method="mc", samples=40, seed=9, integrand="simulation"
+    )
+    assert sim.value == pytest.approx(kern.value, rel=1e-12)
+    assert sim.std_error == pytest.approx(kern.std_error, rel=1e-12)
+    assert sim.evaluations == kern.evaluations == 40
+
+
+@pytest.mark.parametrize(
+    "n, sigma, kwargs",
+    [
+        (0, 0.1, {}),
+        (0, 0.1, {"method": "mc", "samples": 10}),
+        (2, math.nan, {}),
+        (2, math.inf, {}),
+        (2, math.nan, {"method": "mc"}),
+        (2, -0.1, {}),
+        (2, 0.0, {"method": "bogus"}),
+        (2, 0.0, {"order": 0}),
+        (2, 0.0, {"method": "mc", "samples": 1}),
+        (2, 0.0, {"integrand": "bogus"}),
+    ],
+)
+def test_averaged_fidelity_rejects_bad_inputs(n, sigma, kwargs):
+    with pytest.raises(InvalidParameterError):
+        averaged_fidelity(n, EmitterParams(100.0, 0.1), sigma, **kwargs)
+
+
+def test_kernel_rejects_empty_chain():
+    with pytest.raises(InvalidParameterError):
+        fidelity_kernel(0, EmitterParams(100.0, 0.1), np.zeros((3, 0)))
+
+
+def test_kernel_clamp_keeps_nan():
+    # a clamp written as min(1.0, x) would report NaN as perfect fidelity
+    with np.errstate(invalid="ignore"):
+        vals = fidelity_kernel(2, EmitterParams(100.0, 0.1), [[math.nan, 0.0], [0.0, 0.0]])
+    assert math.isnan(vals[0]) and vals[1] <= 1.0
 
 
 def test_averaged_fidelity_zero_sigma():

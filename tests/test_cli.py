@@ -140,6 +140,16 @@ def test_exit_code_flags(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "fidelity", "--n", "9", "--sigma", "0.1")
     assert code == 2
+    for argv in (
+        ("--n", "2", "--sigma", "nan"),
+        ("--n", "2", "--sigma", "inf"),
+        ("--n", "2", "--sigma", "nan", "--method", "mc"),
+        ("--n", "0", "--sigma", "0.1", "--method", "mc", "--samples", "10"),
+        ("--n", "2", "--sigma", "0", "--order", "0"),
+    ):
+        code, out, err = run_cli(capsys, "fidelity", *argv)
+        assert code == 2, argv
+        assert out == "" and "error:" in err
     for grid in ("1:inf:3", "nan:10:3"):  # argparse rejects the flag itself
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--kind", "fig5a", "--grid", grid, "--log"])
