@@ -28,9 +28,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-import numpy as np
-from numpy.polynomial.hermite import hermgauss
-
 from .params import ProtocolParams
 from .scatter import EmitterParams, InvalidParameterError, scatter_coeffs
 from .protocols import run_protocol
@@ -82,6 +79,7 @@ def _chain_fidelity(
     weight is ever stored.  The offset arrays broadcast against each
     other and the result takes their joint shape.
     """
+    import numpy as np
     rnom = scatter_coeffs(nominal).r
     inv_p = 1.0 / nominal.purcell
     total, mass, n = 1.0 + 0.0j, 1.0, 0
@@ -113,6 +111,7 @@ def fidelity_kernel(
     to machine precision; the tests pin that down.  Cauchy-Schwarz
     bounds F by 1; rounding above that is clamped.
     """
+    import numpy as np
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
@@ -153,6 +152,8 @@ def averaged_fidelity(
     integrand 'kernel' evaluates the closed form; 'simulation' runs the
     full circuit per node, which is slow and meant for cross-checks.
     """
+    import numpy as np
+    from numpy.polynomial.hermite import hermgauss
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     if not (math.isfinite(sigma) and sigma >= 0):
@@ -305,10 +306,12 @@ def _axis_span(values: list[float]) -> tuple[float, float]:
 
 
 def _log_grid(lo: float, hi: float, num: int) -> list[float]:
+    import numpy as np
     return [float(v) for v in np.geomspace(lo, hi, num)]
 
 
 def _lin_grid(lo: float, hi: float, num: int) -> list[float]:
+    import numpy as np
     return [float(v) for v in np.linspace(lo, hi, num)]
 
 

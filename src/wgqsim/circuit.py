@@ -17,15 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .params import ProtocolParams
 from .scatter import hwp_matrix
-from .state import POLARIZATIONS, DetectorOutcome, StateOpError, SystemState
+from .state import POLARIZATIONS, DetectorOutcome, Matrix2, StateOpError, SystemState
 
 NORM_TOL = 1e-10
 
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
+# complex(-x), not -complex(x): the latter carries a -0.0 imaginary part
+_PLUS_HALF = complex(1.0 / math.sqrt(2.0))
+_MINUS_HALF = complex(-1.0 / math.sqrt(2.0))
 
 
 class CircuitError(Exception):
@@ -98,22 +98,24 @@ class Mixer:
         return Mixer(a, b, kind="vbs", k=k, n=n, label=label)
 
     @staticmethod
-    def custom(a: int, b: int, matrix: np.ndarray, label: str = "") -> "Mixer":
-        m = np.asarray(matrix, dtype=complex)
-        return Mixer(a, b, kind="custom", entries=tuple(m.ravel()), label=label)
+    def custom(a: int, b: int, matrix, label: str = "") -> "Mixer":
+        """Any 2x2 input that iterates as rows, a numpy array included."""
+        (m00, m01), (m10, m11) = matrix
+        entries = (complex(m00), complex(m01), complex(m10), complex(m11))
+        return Mixer(a, b, kind="custom", entries=entries, label=label)
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> Matrix2:
         if self.kind == "bs":
-            return np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT_HALF
+            return (_PLUS_HALF, _PLUS_HALF), (_PLUS_HALF, _MINUS_HALF)
         if self.kind == "bsprime":
-            return np.array([[-1, 1], [1, 1]], dtype=complex) * _SQRT_HALF
+            return (_MINUS_HALF, _PLUS_HALF), (_PLUS_HALF, _PLUS_HALF)
         if self.kind == "vbs":
             q = self.n + 2 - self.k
             s = 1.0 / math.sqrt(q)
             c = math.sqrt((q - 1.0) / q)
-            return np.array([[-c, s], [s, c]], dtype=complex)
+            return (complex(-c), complex(s)), (complex(s), complex(c))
         if self.kind == "custom":
-            return np.array(self.entries, dtype=complex).reshape(2, 2)
+            return self.entries[:2], self.entries[2:]
         raise CircuitError(f"unknown mixer kind {self.kind!r}")
 
 
@@ -354,14 +356,12 @@ def _apply(state: SystemState, comp: Component, params: ProtocolParams | None) -
 
 def execute(
     circuit: Circuit,
-    initial: SystemState | None = None,
     params: ProtocolParams | None = None,
     trace: bool = False,
 ) -> ExecutionResult:
-    """Run a circuit, checking conservation after every component.
+    """Run a circuit from its input state, checking conservation throughout.
 
-    ``initial`` defaults to the circuit's declared input state.  With
-    ``trace`` on, a copy of the live state, in the basis the report
+    With ``trace`` on, a copy of the live state, in the basis the report
     uses, is stored after every component.  Bit-for-bit deterministic:
     identical inputs give identical results.
     """
@@ -370,9 +370,7 @@ def execute(
         raise CircuitError(
             f"parameters describe {params.n} emitters, circuit has {circuit.n_emitters}"
         )
-    state = initial.copy() if initial is not None else circuit.initial_state()
-    if state.n != circuit.n_emitters:
-        raise CircuitError("initial state register size does not match circuit")
+    state = circuit.initial_state()
     norm0 = state.total_norm
     steps: list[TraceStep] | None = [] if trace else None
     outcomes: list[DetectorOutcome] = []

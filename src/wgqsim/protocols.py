@@ -227,6 +227,8 @@ def build_n_qubit(n: int) -> Circuit:
 
 
 def build_protocol(protocol: str, n: int) -> Circuit:
+    if n < 2:
+        raise ValueError("heralded register generation needs n >= 2")
     if protocol == "klm2":
         if n != 2:
             raise ValueError("klm2 is a dedicated two-emitter layout")
@@ -273,8 +275,6 @@ class ProtocolRun:
     params: ProtocolParams
     outcomes: list[HeraldedOutcome]
     sinks: dict[str, float]
-    target: EmitterState | None
-    execution: ExecutionResult | None = None
 
     @property
     def herald_probability(self) -> float:
@@ -338,18 +338,12 @@ def postprocess_execution(
                 fidelity=corrected.fidelity(target),
             )
         )
-    return ProtocolRun(protocol, params, outcomes, result.sinks, target, execution=result)
+    return ProtocolRun(protocol, params, outcomes, result.sinks)
 
 
-def run_protocol(
-    params: ProtocolParams,
-    protocol: str | None = None,
-    trace: bool = False,
-) -> ProtocolRun:
+def run_protocol(params: ProtocolParams, protocol: str | None = None) -> ProtocolRun:
     """Build, execute and post-process one protocol at one operating point."""
-    if params.n < 2:
-        raise ValueError("heralded register generation needs n >= 2")
     proto = protocol or default_protocol(params.n)
     circuit = build_protocol(proto, params.n)
-    result = execute(circuit, params=params, trace=trace)
+    result = execute(circuit, params=params)
     return postprocess_execution(result, params, proto)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .state import Matrix2
 
 IDEAL = math.inf
 
@@ -102,15 +102,16 @@ def heralded_z_success(params: EmitterParams) -> float:
     return scatter_coeffs(params).reflect_prob
 
 
-def hwp_matrix(theta_deg: float) -> np.ndarray:
+def hwp_matrix(theta_deg: float) -> Matrix2:
     """Jones matrix of a half-wave plate at angle theta (degrees) in (H, V).
 
-    [[cos 2t, sin 2t], [sin 2t, -cos 2t]].  Real, symmetric, involutory.
-    22.5 degrees exchanges H/V with the diagonal basis, 45 swaps H and V.
+    Rows ((cos 2t, sin 2t), (sin 2t, -cos 2t)) of plain complex.  Real,
+    symmetric, involutory.  22.5 degrees exchanges H/V with the diagonal
+    basis, 45 swaps H and V.
     """
-    two_t = 2.0 * np.deg2rad(theta_deg)
-    c, s = np.cos(two_t), np.sin(two_t)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    two_t = 2.0 * math.radians(theta_deg)
+    c, s = math.cos(two_t), math.sin(two_t)
+    return (complex(c), complex(s)), (complex(s), complex(-c))
 
 
 # HWP angle that splits H into amplitudes (1/sqrt3, sqrt2/sqrt3).

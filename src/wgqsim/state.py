@@ -19,6 +19,9 @@ tracked as real probability sinks, not amplitudes.  The conserved total is
 
     sum |amplitude|^2  +  sum sinks  =  norm of the input.
 
+A 2x2 element arrives as rows ((m00, m01), (m10, m11)) of plain complex
+(a numpy array passes too) and is checked for unitarity on every apply.
+
 All iteration that feeds floating-point accumulation runs over sorted
 keys, so repeated runs are bit-for-bit identical.
 """
@@ -27,8 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 H = "H"
 V = "V"
@@ -44,6 +45,7 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 Slot = tuple[int, str, int]
 Slot2 = tuple[int, str]
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
 class StateOpError(ValueError):
@@ -58,13 +60,21 @@ class UncoveredSlotError(StateOpError):
         super().__init__(f"detector bank does not cover occupied slots: {slots}")
 
 
-def _check_unitary(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise StateOpError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.allclose(m.conj().T @ m, np.eye(2), atol=1e-10):
+def _check_unitary(m) -> Matrix2:
+    """Rows of m as plain complex, if np.allclose(M^H M, I, atol=1e-10) holds:
+    |diagonal - 1| <= 1e-10 + 1e-5 and |off-diagonal| <= 1e-10.
+    """
+    try:
+        (a, b), (c, d) = ((complex(z) for z in row) for row in m)
+    except (TypeError, ValueError) as exc:
+        raise StateOpError(f"expected a 2x2 matrix, got {m!r}") from exc
+    if not (
+        abs(abs(a) ** 2 + abs(c) ** 2 - 1.0) <= 1e-10 + 1e-5
+        and abs(abs(b) ** 2 + abs(d) ** 2 - 1.0) <= 1e-10 + 1e-5
+        and abs(a.conjugate() * b + c.conjugate() * d) <= 1e-10
+    ):
         raise StateOpError("matrix is not unitary")
-    return m
+    return (a, b), (c, d)
 
 
 def config_label(config: int, n: int) -> str:
@@ -246,31 +256,31 @@ class SystemState:
 
     # -- operations -----------------------------------------------------
 
-    def apply_polarization_unitary(self, mode: int, matrix: np.ndarray) -> None:
+    def apply_polarization_unitary(self, mode: int, matrix: Matrix2) -> None:
         """2x2 unitary on (H, V) of one spatial mode."""
-        m = _check_unitary(matrix)
+        (m00, m01), (m10, m11) = _check_unitary(matrix)
         configs = sorted({c for (_, _, c) in self._slots_on_mode(mode)})
         for c in configs:
             h = self.amplitudes.pop((mode, H, c), 0.0)
             v = self.amplitudes.pop((mode, V, c), 0.0)
-            self._set((mode, H, c), m[0, 0] * h + m[0, 1] * v)
-            self._set((mode, V, c), m[1, 0] * h + m[1, 1] * v)
+            self._set((mode, H, c), m00 * h + m01 * v)
+            self._set((mode, V, c), m10 * h + m11 * v)
 
-    def apply_mode_mixer(self, a: int, b: int, matrix: np.ndarray) -> None:
+    def apply_mode_mixer(self, a: int, b: int, matrix: Matrix2) -> None:
         """2x2 unitary between two spatial modes, per polarization.
 
         new_a = m00*a + m01*b, new_b = m10*a + m11*b.
         """
         if a == b:
             raise StateOpError("mixer needs two distinct modes")
-        m = _check_unitary(matrix)
+        (m00, m01), (m10, m11) = _check_unitary(matrix)
         pairs = sorted({(p, c) for (md, p, c) in self.amplitudes if md in (a, b)})
         for (pol, c) in pairs:
             ka, kb = (a, pol, c), (b, pol, c)
             va = self.amplitudes.pop(ka, 0.0)
             vb = self.amplitudes.pop(kb, 0.0)
-            self._set(ka, m[0, 0] * va + m[0, 1] * vb)
-            self._set(kb, m[1, 0] * va + m[1, 1] * vb)
+            self._set(ka, m00 * va + m01 * vb)
+            self._set(kb, m10 * va + m11 * vb)
 
     def apply_pbs(self, routing: dict[tuple[int, str], int]) -> None:
         """Reroute (mode, pol) slots to new modes; polarization unchanged.

@@ -42,7 +42,7 @@ def test_mixer_matrices_are_unitary():
         Mixer.bs_prime(0, 1).matrix(),
         Mixer.custom(0, 1, np.array([[0, 1j], [1j, 0]])).matrix(),
     ] + [Mixer.vbs(0, 1, k, n).matrix() for n in (2, 3, 5) for k in range(1, n + 1)]
-    for m in mats:
+    for m in map(np.array, mats):
         assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
 
 
@@ -50,7 +50,7 @@ def test_vbs_couples_expected_fraction():
     # stage k of n peels amplitude 1/sqrt(n+2-k) out of the bus
     for n in (2, 3, 5):
         for k in range(1, n + 1):
-            m = Mixer.vbs(0, 1, k, n).matrix()
+            m = np.array(Mixer.vbs(0, 1, k, n).matrix())
             q = n + 2 - k
             assert abs(m[0, 1]) ** 2 == pytest.approx(1.0 / q, abs=1e-12)
 

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import wgqsim
 from wgqsim.cli import main
 
 NORM_TRIP = """\
@@ -138,6 +142,9 @@ def test_exit_code_flags(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "run", "--protocol", "klm2", "--n", "3")
     assert code == 2
+    code, out, err = run_cli(capsys, "run", "--n", "1")
+    assert code == 2
+    assert out == "" and "n >= 2" in err
     code, _, err = run_cli(capsys, "fidelity", "--n", "9", "--sigma", "0.1")
     assert code == 2
     for argv in (
@@ -246,3 +253,23 @@ def test_verify_subcommand(capsys):
     assert lines[-1].endswith("checks passed")
     code, out, _ = run_cli(capsys, "verify", "--filter", "no-such-check")
     assert code == 2
+
+
+NUMPY_PROBE = """\
+import contextlib, io, sys
+from wgqsim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [["coeffs"], ["run", "--n", "3"], ["exec", "klm3"]])
+def test_circuit_subcommands_do_not_import_numpy(argv):
+    src = os.path.dirname(os.path.dirname(wgqsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout == "0 False\n", proc.stderr

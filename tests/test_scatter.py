@@ -90,7 +90,7 @@ def test_heralded_z_success_is_reflectance():
 
 def test_hwp_is_real_symmetric_involution():
     for theta in (0.0, 13.0, 22.5, 27.4, 30.0, 45.0, 80.0):
-        m = hwp_matrix(theta)
+        m = np.array(hwp_matrix(theta))
         assert np.allclose(m, m.T)
         assert np.allclose(m.imag, 0.0)
         assert np.allclose(m @ m, np.eye(2), atol=1e-12)
@@ -104,9 +104,9 @@ def test_hwp_named_angles():
 
 def test_preparation_angles():
     # first row of the plate at each angle gives the input photon split
-    m2 = hwp_matrix(PREP_ANGLE_TWO_QUBIT)
+    m2 = np.array(hwp_matrix(PREP_ANGLE_TWO_QUBIT))
     assert m2[0, 0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
     assert m2[0, 1] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
-    m3 = hwp_matrix(PREP_ANGLE_THREE_QUBIT)
+    m3 = np.array(hwp_matrix(PREP_ANGLE_THREE_QUBIT))
     assert m3[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert m3[0, 1] == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)

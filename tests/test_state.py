@@ -17,6 +17,7 @@ from wgqsim.state import (
     StateOpError,
     SystemState,
     UncoveredSlotError,
+    _check_unitary,
     config_label,
     klm_target,
 )
@@ -121,6 +122,29 @@ def test_non_unitary_matrix_rejected():
     s.amplitudes[(0, H, 0)] = 1.0
     with pytest.raises(StateOpError):
         s.apply_polarization_unitary(0, np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+@pytest.mark.parametrize(
+    "matrix, ok",
+    [
+        (((1 + 4e-6, 0), (0, 1)), True),  # diagonal of M^H M within 1e-10 + 1e-5
+        (((1 + 6e-6, 0), (0, 1)), False),
+        (((1, 0.9e-10), (0, 1)), True),  # off-diagonal within 1e-10
+        (((1, 2e-10), (0, 1)), False),
+    ],
+)
+def test_unitarity_tolerance_boundary(matrix, ok):
+    if ok:
+        _check_unitary(matrix)
+    else:
+        with pytest.raises(StateOpError):
+            _check_unitary(matrix)
+
+
+def test_check_unitary_rejects_non_2x2():
+    for bad in (((1, 0, 0), (0, 1, 0)), ((1, 0),), None):
+        with pytest.raises(StateOpError):
+            _check_unitary(bad)
 
 
 @settings(max_examples=30, deadline=None)
