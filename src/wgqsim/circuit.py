@@ -1,10 +1,19 @@
 """Straight-line optical circuit programs and their executor.
 
-A circuit is an ordered list of components acting on declared spatial
-modes, ending in exactly one detector bank.  Executing it against a
-``SystemState`` applies each component in order, verifies that the
-conserved total (amplitudes plus sinks) never drifts, and finishes by
-projecting onto detector clicks.
+A circuit is an immutable, ordered tuple of components acting on
+declared spatial modes, ending in exactly one detector bank.  On first
+execution it is validated once and lowered once into a cached tuple of
+steps, one per component before the bank.  Lowering checks the fixed
+2x2 matrices of mixers and wave plates for unitarity, so a run only
+resolves the nominal reflection amplitude and each emitter's amplitudes
+from its parameters.
+
+Executing a circuit applies each step to a ``SystemState`` in order.
+Every step returns its entry of the norm ledger (mass written plus sink
+increments minus mass read, over the slots it touched); the running sum
+is the drift of the conserved total, checked against ``NORM_TOL`` after
+every component.  After the detector bank projects onto clicks, the
+total is re-summed in full once, as a backstop for the ledger.
 
 Attenuator coefficients may be given symbolically as a power of the
 nominal reflection amplitude; emitter scattering always resolves its
@@ -15,11 +24,20 @@ wiring diagrams, reusable across operating points.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .params import ProtocolParams
 from .scatter import hwp_matrix
-from .state import POLARIZATIONS, DetectorOutcome, Matrix2, StateOpError, SystemState
+from .state import (
+    POLARIZATIONS,
+    DetectorOutcome,
+    Matrix2,
+    StateOpError,
+    SystemState,
+    _check_unitary,
+)
 
 NORM_TOL = 1e-10
 
@@ -187,21 +205,31 @@ class DetectorBank:
 Component = PBS | Mixer | HWP | Attenuator | EmitterScatter | Mirror | DetectorBank
 
 
-@dataclass
+# One lowered component: step(state, nominal r, per-emitter ScatterCoeffs)
+# applies it and returns its norm-ledger entry.
+Step = Callable[..., float]
+
+
+@dataclass(frozen=True)
 class Circuit:
-    """Named straight-line program over declared modes."""
+    """Named straight-line program over declared modes.
+
+    Immutable, so one validated and lowered program can serve every
+    run; ``components`` is stored as a tuple.
+    """
 
     name: str
     n_emitters: int
     modes: tuple[int, ...]
-    components: list[Component]
+    components: tuple[Component, ...]
     input_mode: int = 0
     input_pol: str = "H"
     input_register: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "components", tuple(self.components))
         if not self.input_register:
-            self.input_register = "+" * self.n_emitters
+            object.__setattr__(self, "input_register", "+" * self.n_emitters)
 
     @property
     def bank(self) -> DetectorBank:
@@ -276,6 +304,26 @@ class Circuit:
             return {m for (m, _), _ in comp.mapping}
         raise CircuitError(f"unknown component {comp!r}")
 
+    @cached_property
+    def steps(self) -> tuple[Step, ...]:
+        """The components before the bank, validated and lowered once.
+
+        Raises ``CircuitError`` for an ill-formed circuit, naming the
+        component whose matrix is not unitary.
+        """
+        self.validate()
+        steps = []
+        for i, comp in enumerate(self.components[:-1]):
+            try:
+                steps.append(_lower(comp))
+            except StateOpError as exc:
+                raise CircuitError(f"component {i} ({type(comp).__name__}): {exc}") from exc
+        return tuple(steps)
+
+    def __getstate__(self) -> dict:
+        # the lowered steps are closures, so a pickled copy lowers itself again
+        return {k: v for k, v in self.__dict__.items() if k != "steps"}
+
     def find(self, kind: type, label: str | None = None) -> list[int]:
         """Indices of components of a type, optionally filtered by label."""
         return [
@@ -326,32 +374,41 @@ class ExecutionResult:
         return "\n\n".join(blocks) + "\n"
 
 
-def _apply(state: SystemState, comp: Component, params: ProtocolParams | None) -> None:
+def _lower(comp: Component) -> Step:
+    """One component as a step; fixed matrices are checked here, once."""
     if isinstance(comp, PBS):
-        state.apply_pbs(comp.routing_map)
-    elif isinstance(comp, Mixer):
-        state.apply_mode_mixer(comp.a, comp.b, comp.matrix())
-    elif isinstance(comp, HWP):
-        state.apply_polarization_unitary(comp.mode, hwp_matrix(comp.theta_deg))
-    elif isinstance(comp, Attenuator):
-        if comp.coeff is not None:
-            coeff = comp.coeff
-        else:
-            if params is None:
+        routing = comp.routing_map
+        return lambda state, rnom, coeffs: state.apply_pbs(routing)
+    if isinstance(comp, Mixer):
+        a, b, matrix = comp.a, comp.b, _check_unitary(comp.matrix())
+        return lambda state, rnom, coeffs: state.apply_mode_mixer(a, b, matrix)
+    if isinstance(comp, HWP):
+        mode, matrix = comp.mode, _check_unitary(hwp_matrix(comp.theta_deg))
+        return lambda state, rnom, coeffs: state.apply_polarization_unitary(mode, matrix)
+    if isinstance(comp, Attenuator):
+        mode, sink, fixed, power = comp.mode, comp.sink, comp.coeff, comp.rnom_power
+        if fixed is not None:
+            return lambda state, rnom, coeffs: state.apply_attenuator(mode, fixed, sink)
+
+        def attenuate(state: SystemState, rnom, coeffs) -> float:
+            if rnom is None:
                 raise CircuitError("attenuator uses rnom but no parameters were given")
-            coeff = params.nominal_coeffs().r ** comp.rnom_power
-        state.apply_attenuator(comp.mode, coeff, comp.sink)
-    elif isinstance(comp, EmitterScatter):
-        if params is None:
-            raise CircuitError("emitter scattering needs run parameters")
-        state.apply_emitter_scatter(
-            comp.in_mode, comp.emitter, params.coeffs(comp.emitter),
-            comp.reflected_out, comp.sink,
-        )
-    elif isinstance(comp, Mirror):
-        state.apply_mirror(comp.in_mode, comp.out_mode)
-    else:
-        raise CircuitError(f"cannot apply component {comp!r}")
+            return state.apply_attenuator(mode, rnom ** power, sink)
+
+        return attenuate
+    if isinstance(comp, EmitterScatter):
+        in_mode, emitter, out, sink = comp.in_mode, comp.emitter, comp.reflected_out, comp.sink
+
+        def scatter(state: SystemState, rnom, coeffs) -> float:
+            if coeffs is None:
+                raise CircuitError("emitter scattering needs run parameters")
+            return state.apply_emitter_scatter(in_mode, emitter, coeffs[emitter], out, sink)
+
+        return scatter
+    if isinstance(comp, Mirror):
+        in_mode, out_mode = comp.in_mode, comp.out_mode
+        return lambda state, rnom, coeffs: state.apply_mirror(in_mode, out_mode)
+    raise CircuitError(f"cannot apply component {comp!r}")
 
 
 def execute(
@@ -361,33 +418,42 @@ def execute(
 ) -> ExecutionResult:
     """Run a circuit from its input state, checking conservation throughout.
 
-    With ``trace`` on, a copy of the live state, in the basis the report
-    uses, is stored after every component.  Bit-for-bit deterministic:
-    identical inputs give identical results.
+    The drift is the running sum of the steps' ledger entries, checked
+    after every component; the full ``total_norm`` is re-summed once,
+    after the detector bank.  With ``trace`` on, a copy of the live
+    state, in the basis the report uses, is stored after every
+    component.  Bit-for-bit deterministic: identical inputs give
+    identical results.
     """
-    circuit.validate()
-    if params is not None and params.n != circuit.n_emitters:
+    steps = circuit.steps
+    if params is None:
+        rnom = coeffs = None
+    elif params.n != circuit.n_emitters:
         raise CircuitError(
             f"parameters describe {params.n} emitters, circuit has {circuit.n_emitters}"
         )
+    else:
+        rnom = params.nominal_coeffs().r
+        coeffs = [params.coeffs(e) for e in range(params.n)]
     state = circuit.initial_state()
     norm0 = state.total_norm
-    steps: list[TraceStep] | None = [] if trace else None
+    drift = 0.0
+    snapshots: list[TraceStep] | None = [] if trace else None
     outcomes: list[DetectorOutcome] = []
     for i, comp in enumerate(circuit.components):
         try:
-            if isinstance(comp, DetectorBank):
-                outcomes = state.measure_detector_bank(comp.mapping_dict)
+            if i < len(steps):
+                drift += steps[i](state, rnom, coeffs)
             else:
-                _apply(state, comp, params)
+                outcomes = state.measure_detector_bank(comp.mapping_dict)
+                drift = state.total_norm - norm0
         except StateOpError as exc:
             raise CircuitError(f"component {i} ({type(comp).__name__}): {exc}") from exc
-        drift = abs(state.total_norm - norm0)
-        if drift > NORM_TOL:
-            raise NormViolationError(i, type(comp).__name__, drift)
-        if steps is not None:
-            steps.append(TraceStep(i, comp, state.copy()))
-    return ExecutionResult(outcomes, dict(state.sinks), state, steps)
+        if abs(drift) > NORM_TOL:
+            raise NormViolationError(i, type(comp).__name__, abs(drift))
+        if snapshots is not None:
+            snapshots.append(TraceStep(i, comp, state.copy()))
+    return ExecutionResult(outcomes, dict(state.sinks), state, snapshots)
 
 
 @dataclass
@@ -425,13 +491,11 @@ def check_passive_unitarity(circuit: Circuit) -> UnitarityReport:
     not a failure.
     """
     entries = []
-    for i, comp in enumerate(circuit.components):
+    for i, (comp, step) in enumerate(zip(circuit.components, circuit.steps)):
         kind = type(comp).__name__
         label = getattr(comp, "label", "")
         if isinstance(comp, (Attenuator, EmitterScatter)):
             entries.append(UnitarityEntry(i, kind, label, passive=False, max_deviation=0.0))
-            continue
-        if isinstance(comp, DetectorBank):
             continue
         worst = 0.0
         for mode in circuit.modes:
@@ -439,7 +503,7 @@ def check_passive_unitarity(circuit: Circuit) -> UnitarityReport:
                 probe = SystemState(
                     circuit.n_emitters, {(mode, pol, 0): 1.0 + 0.0j}
                 )
-                _apply(probe, comp, None)
+                step(probe, None, None)
                 worst = max(worst, abs(probe.total_norm - 1.0))
         entries.append(UnitarityEntry(i, kind, label, passive=True, max_deviation=worst))
     return UnitarityReport(entries)

@@ -21,6 +21,7 @@ three-emitter layouts put their final interference on modes (6, 7) and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -226,7 +227,13 @@ def build_n_qubit(n: int) -> Circuit:
     )
 
 
+@functools.lru_cache(maxsize=32)
 def build_protocol(protocol: str, n: int) -> Circuit:
+    """The circuit of one protocol on n emitters.
+
+    Cached: a ``Circuit`` is immutable and lowers itself once, so every
+    run of a (protocol, n) pair reuses one validated program.
+    """
     if n < 2:
         raise ValueError("heralded register generation needs n >= 2")
     if protocol == "klm2":

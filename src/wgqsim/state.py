@@ -19,8 +19,23 @@ tracked as real probability sinks, not amplitudes.  The conserved total is
 
     sum |amplitude|^2  +  sum sinks  =  norm of the input.
 
+Every ``apply_*`` returns its own entry of a norm ledger: the mass it
+wrote plus its sink increments minus the mass it read, over only the
+slots it touched.  The executor sums these entries into a running drift
+instead of re-summing the whole state after each component, and
+re-sums ``total_norm`` in full once, after the detector bank.
+
+Pruning is relative to the operands an operation combined: a mixer,
+wave plate, mirror or scatter drops a result |new| <= PRUNE_TOL * the
+largest |operand|, which is cancellation dust.  An attenuator multiplies
+by a nonzero coefficient and cannot cancel, so it drops only an exact
+zero.  A small amplitude that no cancellation produced is kept however
+small it is, so rare herald outcomes keep their probability.
+
 A 2x2 element arrives as rows ((m00, m01), (m10, m11)) of plain complex
-(a numpy array passes too) and is checked for unitarity on every apply.
+(a numpy array passes too) and is checked for unitarity on every apply,
+unless it is the value ``_check_unitary`` returned, which is checked
+already.
 
 All iteration that feeds floating-point accumulation runs over sorted
 keys, so repeated runs are bit-for-bit identical.
@@ -38,7 +53,7 @@ POLARIZATIONS = (H, V)
 ENERGY = "energy"
 PLUSMINUS = "plusminus"
 
-# Amplitudes below this are numerical dust.
+# A result at most this fraction of its largest operand is cancellation dust.
 PRUNE_TOL = 1e-14
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -60,10 +75,20 @@ class UncoveredSlotError(StateOpError):
         super().__init__(f"detector bank does not cover occupied slots: {slots}")
 
 
+class _Unitary(tuple):
+    """Rows ((m00, m01), (m10, m11)) that passed ``_check_unitary``."""
+
+    __slots__ = ()
+
+
 def _check_unitary(m) -> Matrix2:
     """Rows of m as plain complex, if np.allclose(M^H M, I, atol=1e-10) holds:
     |diagonal - 1| <= 1e-10 + 1e-5 and |off-diagonal| <= 1e-10.
+
+    The rows come back as a ``_Unitary``, which passes again unchecked.
     """
+    if type(m) is _Unitary:
+        return m
     try:
         (a, b), (c, d) = ((complex(z) for z in row) for row in m)
     except (TypeError, ValueError) as exc:
@@ -74,7 +99,7 @@ def _check_unitary(m) -> Matrix2:
         and abs(a.conjugate() * b + c.conjugate() * d) <= 1e-10
     ):
         raise StateOpError("matrix is not unitary")
-    return (a, b), (c, d)
+    return _Unitary(((a, b), (c, d)))
 
 
 def config_label(config: int, n: int) -> str:
@@ -240,33 +265,51 @@ class SystemState:
     def _slots_on_mode(self, mode: int) -> list[Slot]:
         return sorted(k for k in self.amplitudes if k[0] == mode)
 
-    def _set(self, slot: Slot, amp: complex) -> None:
-        # plain complex keeps dumps and JSON free of numpy scalar reprs
-        if abs(amp) > PRUNE_TOL:
+    def _set(self, slot: Slot, amp: complex, scale: float) -> float:
+        """Store amp, or drop it if |amp| <= PRUNE_TOL * scale.
+
+        ``scale`` is the largest |operand| combined into amp, 0 where
+        nothing can cancel.  Returns the mass written, |stored amp|^2.
+        """
+        mag = abs(amp)
+        if mag > PRUNE_TOL * scale:
+            # plain complex keeps dumps and JSON free of numpy scalar reprs
             self.amplitudes[slot] = complex(amp)
-        else:
-            self.amplitudes.pop(slot, None)
+            return mag * mag
+        self.amplitudes.pop(slot, None)
+        return 0.0
 
-    def _add(self, slot: Slot, amp: complex) -> None:
-        self._set(slot, self.amplitudes.get(slot, 0.0) + amp)
+    def _add(self, slot: Slot, amp: complex) -> float:
+        """Add amp onto slot; returns the change of |slot amplitude|^2."""
+        old = self.amplitudes.get(slot, 0.0)
+        return self._set(slot, old + amp, max(abs(old), abs(amp))) - abs(old) ** 2
 
-    def _add_sink(self, sink: str, p: float) -> None:
+    def _add_sink(self, sink: str, p: float) -> float:
         if p != 0.0:
             self.sinks[sink] = self.sinks.get(sink, 0.0) + float(p)
+        return p
 
     # -- operations -----------------------------------------------------
+    #
+    # Each returns its norm-ledger entry: mass written plus sink
+    # increments minus mass read, over the slots it touched.
 
-    def apply_polarization_unitary(self, mode: int, matrix: Matrix2) -> None:
+    def apply_polarization_unitary(self, mode: int, matrix: Matrix2) -> float:
         """2x2 unitary on (H, V) of one spatial mode."""
         (m00, m01), (m10, m11) = _check_unitary(matrix)
-        configs = sorted({c for (_, _, c) in self._slots_on_mode(mode)})
-        for c in configs:
+        delta = 0.0
+        for c in sorted({c for (m, _, c) in self.amplitudes if m == mode}):
             h = self.amplitudes.pop((mode, H, c), 0.0)
             v = self.amplitudes.pop((mode, V, c), 0.0)
-            self._set((mode, H, c), m00 * h + m01 * v)
-            self._set((mode, V, c), m10 * h + m11 * v)
+            scale = max(abs(h), abs(v))
+            delta += (
+                self._set((mode, H, c), m00 * h + m01 * v, scale)
+                + self._set((mode, V, c), m10 * h + m11 * v, scale)
+                - abs(h) ** 2 - abs(v) ** 2
+            )
+        return delta
 
-    def apply_mode_mixer(self, a: int, b: int, matrix: Matrix2) -> None:
+    def apply_mode_mixer(self, a: int, b: int, matrix: Matrix2) -> float:
         """2x2 unitary between two spatial modes, per polarization.
 
         new_a = m00*a + m01*b, new_b = m10*a + m11*b.
@@ -275,19 +318,27 @@ class SystemState:
             raise StateOpError("mixer needs two distinct modes")
         (m00, m01), (m10, m11) = _check_unitary(matrix)
         pairs = sorted({(p, c) for (md, p, c) in self.amplitudes if md in (a, b)})
+        delta = 0.0
         for (pol, c) in pairs:
             ka, kb = (a, pol, c), (b, pol, c)
             va = self.amplitudes.pop(ka, 0.0)
             vb = self.amplitudes.pop(kb, 0.0)
-            self._set(ka, m00 * va + m01 * vb)
-            self._set(kb, m10 * va + m11 * vb)
+            scale = max(abs(va), abs(vb))
+            delta += (
+                self._set(ka, m00 * va + m01 * vb, scale)
+                + self._set(kb, m10 * va + m11 * vb, scale)
+                - abs(va) ** 2 - abs(vb) ** 2
+            )
+        return delta
 
-    def apply_pbs(self, routing: dict[tuple[int, str], int]) -> None:
+    def apply_pbs(self, routing: dict[tuple[int, str], int]) -> float:
         """Reroute (mode, pol) slots to new modes; polarization unchanged.
 
         Slots not named in the routing stay put.  The move must be
         collision-free on occupied slots; a beam splitter that would put
-        two occupied slots on top of each other is a wiring error.
+        two occupied slots on top of each other is a wiring error.  A
+        collision-free move keeps every amplitude, so the norm change
+        is exactly 0.
         """
         occupied = sorted(self.amplitudes)
         moves: list[tuple[Slot, Slot]] = []
@@ -306,31 +357,36 @@ class SystemState:
         amps = [self.amplitudes.pop(src) for src, _ in moves]
         for (_, dst), a in zip(moves, amps):
             self.amplitudes[dst] = a
+        return 0.0
 
-    def apply_mirror(self, in_mode: int, out_mode: int) -> None:
+    def apply_mirror(self, in_mode: int, out_mode: int) -> float:
         """Relabel one spatial mode onto another.
 
         Unlike a beam splitter this may land on an occupied mode, in
         which case amplitudes add coherently.  Norm is preserved only
         when the merged branches occupy disjoint (pol, config) slots;
-        the executor's conservation check catches misuse.
+        the returned ledger entry shows misuse as a norm change.
         """
         if in_mode == out_mode:
-            return
+            return 0.0
+        delta = 0.0
         for (m, p, c) in self._slots_on_mode(in_mode):
             a = self.amplitudes.pop((m, p, c))
-            self._add((out_mode, p, c), a)
+            delta += self._add((out_mode, p, c), a) - abs(a) ** 2
+        return delta
 
-    def apply_attenuator(self, mode: int, coeff: complex, sink: str) -> None:
+    def apply_attenuator(self, mode: int, coeff: complex, sink: str) -> float:
         """Multiply one mode by coeff, |coeff| <= 1; lost mass goes to sink."""
         mag = abs(coeff)
         if mag > 1.0 + 1e-12:
             raise StateOpError(f"attenuator coefficient must have |c| <= 1, got |{coeff}|")
         drop = max(0.0, 1.0 - mag * mag)
+        delta = 0.0
         for slot in self._slots_on_mode(mode):
             a = self.amplitudes[slot]
-            self._add_sink(sink, drop * abs(a) ** 2)
-            self._set(slot, coeff * a)
+            mass = abs(a) ** 2
+            delta += self._add_sink(sink, drop * mass) + self._set(slot, coeff * a, 0.0) - mass
+        return delta
 
     def apply_emitter_scatter(
         self,
@@ -339,7 +395,7 @@ class SystemState:
         coeffs,
         reflected_out: int,
         herald_sink: str,
-    ) -> None:
+    ) -> float:
         """Scatter the photon at in_mode off one emitter.
 
         The g+ branch reflects with +r and the g- branch with -r, so the
@@ -358,19 +414,26 @@ class SystemState:
         r = coeffs.r
         miss = max(0.0, 1.0 - abs(r) ** 2)
         bit = 1 << emitter
+        delta = 0.0
         for (m, p, c) in slots:
             a = self.amplitudes.pop((m, p, c))
-            self._add_sink(herald_sink, miss * abs(a) ** 2)
+            mass = abs(a) ** 2
             out_pol = V if p == H else H
-            self._add((reflected_out, out_pol, c ^ bit), r * a)
+            delta += (
+                self._add_sink(herald_sink, miss * mass)
+                + self._add((reflected_out, out_pol, c ^ bit), r * a)
+                - mass
+            )
+        return delta
 
     def measure_detector_bank(self, bank: dict[Slot2, str]) -> list[DetectorOutcome]:
         """Project onto which detector fired.
 
         ``bank`` maps (mode, pol) -> detector id and must cover every
         occupied slot.  Returns one outcome per detector that sees an
-        occupied slot, sorted by detector id; each carries the normalized
-        register state conditioned on that click.
+        occupied slot with a click probability above float underflow,
+        sorted by detector id; each carries the normalized register state
+        conditioned on that click.
         """
         ids = list(bank.values())
         if len(set(ids)) != len(ids):
@@ -388,6 +451,8 @@ class SystemState:
         for det in sorted(collected):
             amps = collected[det]
             prob = sum(abs(amps[c]) ** 2 for c in sorted(amps))
+            if prob == 0.0:  # every |amp|^2 underflows: the click is below float range
+                continue
             scale = 1.0 / math.sqrt(prob)
             reg = EmitterState(self.n, PLUSMINUS, {c: a * scale for c, a in amps.items()})
             outcomes.append(DetectorOutcome(det, prob, reg))

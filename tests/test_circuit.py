@@ -1,6 +1,8 @@
 """Circuit components, validation, execution, passive unitarity."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from wgqsim.circuit import (
 from wgqsim.params import ProtocolParams
 from wgqsim.protocols import build_n_qubit, build_two_qubit
 from wgqsim.scatter import EmitterParams
+from wgqsim.state import SystemState
 
 
 def tiny_circuit(components, modes=(0, 1), bank=None, n=1):
@@ -126,11 +129,40 @@ def test_execute_param_count_must_match():
 
 
 def test_mirror_onto_occupied_mode_trips_norm_check():
-    # coherent merge of non-orthogonal branches is flagged, not silently kept
+    # coherent merge of non-orthogonal branches is flagged, not silently
+    # kept, at the merging component
     c = tiny_circuit([Mixer.bs(0, 1), Mirror(0, 1)])
     with pytest.raises(NormViolationError) as info:
         execute(c, params=ProtocolParams(1))
-    assert info.value.kind == "Mirror"
+    assert (info.value.index, info.value.kind) == (1, "Mirror")
+    assert info.value.drift == pytest.approx(1.0, abs=1e-12)
+    # the same misuse after the branches took separate paths: wave plate
+    # split, router, wave plate back to H, and a mirror onto (0, H, 0)
+    c = tiny_circuit(
+        [HWP(0, 22.5), PBS.of({(0, "V"): 1}), HWP(1, 45.0), Attenuator(0, "s", coeff=0.8),
+         Mirror(1, 0)]
+    )
+    with pytest.raises(NormViolationError) as info:
+        execute(c, params=ProtocolParams(1))
+    assert (info.value.index, info.value.kind) == (4, "Mirror")
+    assert info.value.drift == pytest.approx(0.8, abs=1e-12)
+
+
+def test_full_norm_backstop_catches_a_wrong_ledger_entry(monkeypatch):
+    # an op that misreports its own norm change passes the per-component
+    # ledger check; the full re-sum after the detector bank still trips
+    mirror = SystemState.apply_mirror
+
+    def unreported_mirror(state, *args):
+        mirror(state, *args)
+        return 0.0
+
+    monkeypatch.setattr(SystemState, "apply_mirror", unreported_mirror)
+    c = tiny_circuit([Mixer.bs(0, 1), Mirror(0, 1)])
+    with pytest.raises(NormViolationError) as info:
+        execute(c, params=ProtocolParams(1))
+    assert (info.value.index, info.value.kind) == (2, "DetectorBank")
+    assert info.value.drift == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trace_records_every_component():
@@ -173,3 +205,20 @@ def test_custom_mixer_must_be_unitary_at_execution():
     c = tiny_circuit([bad])
     with pytest.raises(CircuitError):
         execute(c, params=ProtocolParams(1))
+
+
+def test_circuit_is_immutable():
+    c = build_two_qubit()
+    assert isinstance(c.components, tuple)
+    for field, value in (("name", "x"), ("components", ()), ("input_register", "--")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, field, value)
+    # a list given to the constructor is stored as a tuple
+    bank = DetectorBank.of({(0, "H"): "D1", (0, "V"): "D2"})
+    assert Circuit("x", 1, (0,), [bank]).components == (bank,)
+    # a lowered circuit still pickles, and its copy runs the same
+    params = ProtocolParams(2, EmitterParams(30.0, 0.1))
+    ran = execute(c, params=params)
+    clone = pickle.loads(pickle.dumps(c))
+    assert clone == c
+    assert repr(execute(clone, params=params).outcomes) == repr(ran.outcomes)

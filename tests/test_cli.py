@@ -165,15 +165,18 @@ def test_exit_code_flags(capsys):
 
 
 def test_run_reports_tiny_herald_probability(capsys):
-    # a click probability of 2.7e-16 is a real outcome, not dust
-    code, out, _ = run_cli(capsys, "run", "--n", "10", "--purcell", "0.2")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["closed_form_success"] > 0
-    assert rep["herald_probability"] == pytest.approx(rep["closed_form_success"], rel=1e-9)
-    assert 0.0 <= rep["weighted_fidelity"] <= 1.0
-    for oc in rep["outcomes"]:
-        assert 0.0 <= oc["fidelity"] <= 1.0
+    # click probabilities of 2.7e-16 and 3.0e-29 are real outcomes, not
+    # dust; the second has amplitudes below 1e-14 on every branch
+    for n, purcell in (("10", "0.2"), ("20", "0.24")):
+        code, out, _ = run_cli(capsys, "run", "--n", n, "--purcell", purcell)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["closed_form_success"] > 0
+        assert rep["herald_probability"] == pytest.approx(rep["closed_form_success"], rel=1e-9)
+        assert rep["weighted_fidelity"] == pytest.approx(1.0, abs=1e-10)
+        assert [oc["detector"] for oc in rep["outcomes"]] == ["D1", "D2"]
+        for oc in rep["outcomes"]:
+            assert oc["fidelity"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_exit_code_physics(tmp_path, capsys):

@@ -1,24 +1,31 @@
 """End-to-end protocol runs: herald tables, corrections, the generic chain."""
 
 import math
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from wgqsim import protocols
+from wgqsim.analysis import success_probability
 from wgqsim.params import ProtocolParams
 from wgqsim.protocols import (
     THREE_QUBIT_FEEDFORWARD,
     TWO_QUBIT_FEEDFORWARD,
     build_heralded_z,
     build_n_qubit,
+    build_protocol,
     build_three_qubit,
     build_two_qubit,
     feedforward_rules,
     infer_protocol,
+    postprocess_execution,
     run_protocol,
 )
 from wgqsim.scatter import EmitterParams, scatter_coeffs
-from wgqsim.state import klm_target
-from wgqsim.circuit import execute
+from wgqsim.state import SystemState, klm_target
+from wgqsim.circuit import Circuit, execute
 
 IDEAL2 = ProtocolParams(2)
 IDEAL3 = ProtocolParams(3)
@@ -168,3 +175,80 @@ def test_infer_protocol_from_circuit_names():
 def test_run_protocol_rejects_tiny_registers():
     with pytest.raises(Exception):
         run_protocol(ProtocolParams(1))
+
+
+def suffix_product_chain(purcell, detuning, offsets):
+    """Herald probability and weighted fidelity of the chain from its
+    branch weights w_j = rnom**j * prod(r_i, i >= j), j = 0..n."""
+    def refl(d):
+        return -1.0 / (1.0 + 1.0 / purcell - 2.0j * d)
+
+    n = len(offsets)
+    rnom = refl(detuning)
+    w, suffix = [], 1.0
+    for j in range(n, -1, -1):
+        w.append(rnom ** j * suffix)
+        if j:
+            suffix *= refl(detuning + offsets[j - 1])
+    mass = sum(abs(x) ** 2 for x in w)
+    return mass / (n + 1), abs(sum(w)) ** 2 / ((n + 1) * mass)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 24), st.floats(-2.0, 3.0), st.floats(-0.3, 0.3), st.integers(0, 2**32 - 1))
+@example(20, math.log10(0.24), 0.0, 0)  # herald 3.0e-29
+@example(24, -2.0, 0.1, 1)  # herald about 1e-96
+def test_chain_matches_suffix_products_at_low_purcell(n, log_purcell, detuning, seed):
+    purcell = 10.0 ** log_purcell
+    rng = random.Random(seed)
+    offsets = tuple(rng.gauss(0.0, 0.05) for _ in range(n))
+    herald, fidelity = suffix_product_chain(purcell, detuning, offsets)
+    run = run_protocol(ProtocolParams(n, EmitterParams(purcell, detuning), offsets), "klmN")
+    assert run.herald_probability == pytest.approx(herald, rel=1e-9, abs=0)
+    assert run.weighted_fidelity == pytest.approx(fidelity, rel=1e-9, abs=0)
+
+
+def test_chain_herald_below_float_range_reports_no_click():
+    # every branch amplitude squared underflows to 0.0, as the closed form does
+    nominal = EmitterParams(1e-3, 0.0)
+    run = run_protocol(ProtocolParams(60, nominal), "klmN")
+    assert run.outcomes == []
+    assert run.herald_probability == success_probability(60, nominal) == 0.0
+
+
+def test_run_protocol_builds_and_validates_once(monkeypatch):
+    build_protocol.cache_clear()
+    builds, validations = [], []
+    build = protocols.build_n_qubit
+    validate = Circuit.validate
+    monkeypatch.setattr(protocols, "build_n_qubit", lambda n: builds.append(n) or build(n))
+    monkeypatch.setattr(Circuit, "validate", lambda c: validations.append(c.name) or validate(c))
+    for purcell in (5.0, 50.0, 500.0):
+        run_protocol(ProtocolParams(7, EmitterParams(purcell, 0.1)), "klmN")
+    assert builds == [7]
+    assert validations == ["klmN7"]
+
+
+def test_cached_circuit_keeps_no_run_state():
+    a = ProtocolParams(6, EmitterParams(30.0, 0.07), (0.01, -0.02, 0.03, 0.0, -0.04, 0.05))
+    b = ProtocolParams(6, EmitterParams(0.5, -0.2), (0.1,) * 6)
+    first = run_protocol(a, "klmN")
+    run_protocol(b, "klmN")
+    again = run_protocol(a, "klmN")
+    fresh = postprocess_execution(execute(build_n_qubit(6), params=a), a, "klmN")
+    for other in (again, fresh):
+        assert repr(other) == repr(first)
+
+
+def test_chain_sums_the_full_norm_a_fixed_number_of_times(monkeypatch):
+    calls = []
+    total_norm = SystemState.total_norm
+    monkeypatch.setattr(
+        SystemState, "total_norm", property(lambda s: calls.append(1) or total_norm.fget(s))
+    )
+    counts = []
+    for n in (10, 50):
+        calls.clear()
+        run_protocol(ProtocolParams(n, EmitterParams(20.0, 0.05)), "klmN")
+        counts.append(len(calls))
+    assert counts == [2, 2]  # the input norm, and the backstop after the bank

@@ -181,6 +181,47 @@ def test_scatter_conserves_norm_with_sink(seed):
     assert s.sinks["miss"] == pytest.approx(1 - c.reflect_prob, abs=1e-12)
 
 
+def random_unitary(rng):
+    a, b = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
+    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    a, b = a / norm, b / norm
+    phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
+    return ((a, -b.conjugate() * phase), (b, a.conjugate() * phase))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3))
+def test_each_op_returns_its_norm_change(seed, n):
+    # the ledger entry of every op equals the change of the full re-sum,
+    # also where the op does not conserve the norm (mirror onto an
+    # occupied mode, attenuation with a sink, scattering)
+    rng = np.random.default_rng(seed)
+    s = random_state(rng, n=n, modes=(0, 1, 2, 3))
+    s.sinks["old"] = float(rng.uniform(0, 1))
+    for (m, p, c) in list(s.amplitudes):  # scattering input is single-pol
+        if m == 3 and p == V:
+            s._add((3, H, c), s.amplitudes.pop((m, p, c)))
+    emitter = int(rng.integers(n))
+    r = scatter_coeffs(EmitterParams(purcell=10 ** rng.uniform(-2, 3), detuning=rng.uniform(-0.3, 0.3)))
+    coeff = complex(rng.normal(), rng.normal())
+    coeff *= rng.uniform(0, 1) / abs(coeff)
+    ops = [
+        lambda: s.apply_polarization_unitary(int(rng.integers(3)), random_unitary(rng)),
+        lambda: s.apply_polarization_unitary(1, hwp_matrix(rng.uniform(0, 90))),
+        lambda: s.apply_mode_mixer(0, 1, random_unitary(rng)),
+        lambda: s.apply_mode_mixer(1, 4, BS),
+        lambda: s.apply_pbs({(0, H): 5, (1, V): 6}),
+        lambda: s.apply_mirror(int(rng.integers(3)), int(rng.integers(3))),
+        lambda: s.apply_mirror(1, 7),
+        lambda: s.apply_attenuator(int(rng.integers(3)), coeff, "att"),
+        lambda: s.apply_emitter_scatter(3, emitter, r, int(rng.integers(3)), "miss"),
+    ]
+    for i in rng.permutation(len(ops)):
+        before = s.total_norm
+        delta = ops[i]()
+        assert abs(s.total_norm - before - delta) <= 1e-12, i
+
+
 def test_scatter_sign_and_flip():
     c = scatter_coeffs(EmitterParams(100.0, 0.05))
     s = SystemState(2)
