@@ -24,7 +24,6 @@ wiring diagrams, reusable across operating points.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -205,11 +204,6 @@ class DetectorBank:
 Component = PBS | Mixer | HWP | Attenuator | EmitterScatter | Mirror | DetectorBank
 
 
-# One lowered component: step(state, nominal r, per-emitter ScatterCoeffs)
-# applies it and returns its norm-ledger entry.
-Step = Callable[..., float]
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Named straight-line program over declared modes.
@@ -305,11 +299,13 @@ class Circuit:
         raise CircuitError(f"unknown component {comp!r}")
 
     @cached_property
-    def steps(self) -> tuple[Step, ...]:
+    def steps(self) -> tuple:
         """The components before the bank, validated and lowered once.
 
-        Raises ``CircuitError`` for an ill-formed circuit, naming the
-        component whose matrix is not unitary.
+        Each step is called as step(state, nominal r, per-emitter
+        ScatterCoeffs), applies its component and returns its
+        norm-ledger entry.  Raises ``CircuitError`` for an ill-formed
+        circuit, naming the component whose matrix is not unitary.
         """
         self.validate()
         steps = []
@@ -374,7 +370,7 @@ class ExecutionResult:
         return "\n\n".join(blocks) + "\n"
 
 
-def _lower(comp: Component) -> Step:
+def _lower(comp: Component):
     """One component as a step; fixed matrices are checked here, once."""
     if isinstance(comp, PBS):
         routing = comp.routing_map

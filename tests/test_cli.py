@@ -173,9 +173,11 @@ def test_run_reports_tiny_herald_probability(capsys):
         rep = json.loads(out)
         assert rep["closed_form_success"] > 0
         assert rep["herald_probability"] == pytest.approx(rep["closed_form_success"], rel=1e-9)
+        assert 0.0 <= rep["weighted_fidelity"] <= 1.0
         assert rep["weighted_fidelity"] == pytest.approx(1.0, abs=1e-10)
         assert [oc["detector"] for oc in rep["outcomes"]] == ["D1", "D2"]
         for oc in rep["outcomes"]:
+            assert 0.0 <= oc["fidelity"] <= 1.0
             assert oc["fidelity"] == pytest.approx(1.0, abs=1e-10)
 
 
