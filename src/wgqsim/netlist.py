@@ -145,7 +145,7 @@ def parse(text: str) -> Circuit:
     n_emitters: int | None = None
     modes: tuple[int, ...] | None = None
     input_args: dict | None = None
-    input_line = 0
+    input_stmt: _Stmt | None = None
     components: list[Component] = []
     saw_detect = False
 
@@ -184,7 +184,7 @@ def parse(text: str) -> Circuit:
             if input_args is not None:
                 raise NetlistError("duplicate input statement", stmt.line, stmt.cols[0])
             input_args = _kv(stmt, ("mode", "pol"), ("register",))
-            input_line = stmt.line
+            input_stmt = stmt
             continue
 
         # component statements need the header in place
@@ -213,16 +213,16 @@ def parse(text: str) -> Circuit:
     register = "+" * n_emitters
     if input_args is not None:
         val, col = input_args["mode"]
-        input_mode = _as_int_line(val, col, input_line, "input mode")
+        input_mode = _as_int(input_stmt, val, col, "input mode")
         pol, col = input_args["pol"]
         if pol not in ("H", "V"):
-            raise NetlistError(f"input pol must be H or V, got {pol!r}", input_line, col)
+            raise NetlistError(f"input pol must be H or V, got {pol!r}", input_stmt.line, col)
         input_pol = pol
         if "register" in input_args:
             register, col = input_args["register"]
             if len(register) != n_emitters or set(register) - {"+", "-"}:
                 raise NetlistError(
-                    f"register must be {n_emitters} '+'/'-' labels", input_line, col
+                    f"register must be {n_emitters} '+'/'-' labels", input_stmt.line, col
                 )
 
     circuit = Circuit(
@@ -240,13 +240,6 @@ def parse(text: str) -> Circuit:
         # semantic problems in the file are parse errors to the caller
         raise NetlistError(f"invalid circuit: {exc}", 1) from exc
     return circuit
-
-
-def _as_int_line(val: str, col: int, line: int, what: str) -> int:
-    try:
-        return int(val)
-    except ValueError:
-        raise NetlistError(f"{what} must be an integer, got {val!r}", line, col)
 
 
 def _parse_component(stmt: _Stmt, n_emitters: int) -> Component:

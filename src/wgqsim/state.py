@@ -2,11 +2,14 @@
 
 The photon occupies exactly one excitation spread over spatial modes and
 polarizations; the register of N two-level emitters is entangled with it.
-A pure state is stored as a sparse map
+A pure state is stored per spatial mode as sparse maps
 
-    (mode, polarization, config) -> complex amplitude
+    mode -> {(polarization, config): complex amplitude}
 
-where ``config`` is an N-bit integer, bit i describing emitter i in the
+so an operation reads only the inner maps of its own one or two modes.
+``amplitudes`` is a read-only flat view (mode, polarization, config) ->
+amplitude, built on each access; the constructor takes that flat form.
+``config`` is an N-bit integer, bit i describing emitter i in the
 plusminus basis: bit 0/1 is the diagonal state (g+ +- g-)/sqrt2, printed
 '+'/'-'.  The g+ branch reflects with +r and the g- branch with -r, so a
 scatter is r*Z on one emitter, which flips a single bit.  The '+'/'-'
@@ -41,13 +44,14 @@ unless it is the value ``_check_unitary`` returned, which is checked
 already.
 
 All iteration that feeds floating-point accumulation runs over sorted
-keys, so repeated runs are bit-for-bit identical.
+modes, then sorted inner keys, so repeated runs are bit-for-bit identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 H = "H"
 V = "V"
@@ -66,6 +70,7 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 Slot = tuple[int, str, int]
 Slot2 = tuple[int, str]
+Slots = dict[tuple[str, int], complex]  # one mode: (pol, config) -> amp
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
@@ -224,10 +229,40 @@ class DetectorOutcome:
     state: EmitterState  # normalized register state conditioned on the click
 
 
+def _set(slots: Slots, key, amp: complex, scale: float) -> float:
+    """Store amp at key, or drop it if |amp| <= PRUNE_TOL * scale.
+
+    ``scale`` is the largest |operand| combined into amp, 0 where
+    nothing can cancel.  Returns the mass written, |stored amp|^2.
+    """
+    mag = abs(amp)
+    if mag > PRUNE_TOL * scale:
+        # plain complex keeps dumps and JSON free of numpy scalar reprs
+        slots[key] = complex(amp)
+        return mag * mag
+    slots.pop(key, None)
+    return 0.0
+
+
+def _add(slots: Slots, key, amp: complex) -> float:
+    """Add amp onto key; returns the change of |amplitude at key|^2."""
+    old = slots.get(key, 0.0)
+    return _set(slots, key, old + amp, max(abs(old), abs(amp))) - abs(old) ** 2
+
+
+def _mix(sa: Slots, ka, sb: Slots, kb, m: Matrix2) -> float:
+    """(sa[ka], sb[kb]) <- m (sa[ka], sb[kb]); returns its ledger entry."""
+    (m00, m01), (m10, m11) = m
+    x, y = sa.pop(ka, 0.0), sb.pop(kb, 0.0)
+    scale = max(abs(x), abs(y))
+    new_a = _set(sa, ka, m00 * x + m01 * y, scale)
+    return new_a + _set(sb, kb, m10 * x + m11 * y, scale) - abs(x) ** 2 - abs(y) ** 2
+
+
 class SystemState:
     """Mutable photon + register state.  Value semantics via copy()."""
 
-    __slots__ = ("n", "amplitudes", "sinks")
+    __slots__ = ("n", "_modes", "sinks")
 
     def __init__(
         self,
@@ -238,7 +273,9 @@ class SystemState:
         if n < 1:
             raise StateOpError(f"need at least one emitter, got n={n}")
         self.n = n
-        self.amplitudes: dict[Slot, complex] = dict(amplitudes or {})
+        self._modes: dict[int, Slots] = {}
+        for (m, p, c), a in (amplitudes or {}).items():
+            self._modes.setdefault(m, {})[(p, c)] = a
         self.sinks: dict[str, float] = dict(sinks or {})
 
     # -- construction ---------------------------------------------------
@@ -258,38 +295,26 @@ class SystemState:
         return cls(n, {(photon_mode, photon_pol, config): 1.0 + 0.0j})
 
     def copy(self) -> "SystemState":
-        return SystemState(self.n, self.amplitudes, self.sinks)
+        out = SystemState(self.n, None, self.sinks)
+        out._modes = {m: dict(slots) for m, slots in self._modes.items() if slots}
+        return out
 
     # -- bookkeeping ----------------------------------------------------
 
     @property
+    def amplitudes(self) -> MappingProxyType:
+        """Read-only flat view (mode, pol, config) -> amp, built on each access."""
+        return MappingProxyType(
+            {(m, p, c): a for m, slots in self._modes.items() for (p, c), a in slots.items()}
+        )
+
+    @property
     def total_norm(self) -> float:
         """sum |amp|^2 + sum sinks.  Conserved by every operation."""
-        amp_part = sum(abs(self.amplitudes[k]) ** 2 for k in sorted(self.amplitudes))
+        modes = self._modes
+        amp_part = sum(abs(modes[m][k]) ** 2 for m in sorted(modes) for k in sorted(modes[m]))
         sink_part = sum(self.sinks[k] for k in sorted(self.sinks))
         return amp_part + sink_part
-
-    def _slots_on_mode(self, mode: int) -> list[Slot]:
-        return sorted(k for k in self.amplitudes if k[0] == mode)
-
-    def _set(self, slot: Slot, amp: complex, scale: float) -> float:
-        """Store amp, or drop it if |amp| <= PRUNE_TOL * scale.
-
-        ``scale`` is the largest |operand| combined into amp, 0 where
-        nothing can cancel.  Returns the mass written, |stored amp|^2.
-        """
-        mag = abs(amp)
-        if mag > PRUNE_TOL * scale:
-            # plain complex keeps dumps and JSON free of numpy scalar reprs
-            self.amplitudes[slot] = complex(amp)
-            return mag * mag
-        self.amplitudes.pop(slot, None)
-        return 0.0
-
-    def _add(self, slot: Slot, amp: complex) -> float:
-        """Add amp onto slot; returns the change of |slot amplitude|^2."""
-        old = self.amplitudes.get(slot, 0.0)
-        return self._set(slot, old + amp, max(abs(old), abs(amp))) - abs(old) ** 2
 
     def _add_sink(self, sink: str, p: float) -> float:
         if p != 0.0:
@@ -303,17 +328,11 @@ class SystemState:
 
     def apply_polarization_unitary(self, mode: int, matrix: Matrix2) -> float:
         """2x2 unitary on (H, V) of one spatial mode."""
-        (m00, m01), (m10, m11) = _check_unitary(matrix)
+        m = _check_unitary(matrix)
+        slots = self._modes.get(mode, {})
         delta = 0.0
-        for c in sorted({c for (m, _, c) in self.amplitudes if m == mode}):
-            h = self.amplitudes.pop((mode, H, c), 0.0)
-            v = self.amplitudes.pop((mode, V, c), 0.0)
-            scale = max(abs(h), abs(v))
-            delta += (
-                self._set((mode, H, c), m00 * h + m01 * v, scale)
-                + self._set((mode, V, c), m10 * h + m11 * v, scale)
-                - abs(h) ** 2 - abs(v) ** 2
-            )
+        for c in sorted({c for (_, c) in slots}):
+            delta += _mix(slots, (H, c), slots, (V, c), m)
         return delta
 
     def apply_mode_mixer(self, a: int, b: int, matrix: Matrix2) -> float:
@@ -323,19 +342,11 @@ class SystemState:
         """
         if a == b:
             raise StateOpError("mixer needs two distinct modes")
-        (m00, m01), (m10, m11) = _check_unitary(matrix)
-        pairs = sorted({(p, c) for (md, p, c) in self.amplitudes if md in (a, b)})
+        m = _check_unitary(matrix)
+        sa, sb = self._modes.setdefault(a, {}), self._modes.setdefault(b, {})
         delta = 0.0
-        for (pol, c) in pairs:
-            ka, kb = (a, pol, c), (b, pol, c)
-            va = self.amplitudes.pop(ka, 0.0)
-            vb = self.amplitudes.pop(kb, 0.0)
-            scale = max(abs(va), abs(vb))
-            delta += (
-                self._set(ka, m00 * va + m01 * vb, scale)
-                + self._set(kb, m10 * va + m11 * vb, scale)
-                - abs(va) ** 2 - abs(vb) ** 2
-            )
+        for key in sorted(sa.keys() | sb.keys()):
+            delta += _mix(sa, key, sb, key, m)
         return delta
 
     def apply_pbs(self, routing: dict[tuple[int, str], int]) -> float:
@@ -347,23 +358,21 @@ class SystemState:
         collision-free move keeps every amplitude, so the norm change
         is exactly 0.
         """
-        occupied = sorted(self.amplitudes)
-        moves: list[tuple[Slot, Slot]] = []
-        stay: set[Slot] = set()
-        for (m, p, c) in occupied:
-            out = routing.get((m, p))
-            if out is None or out == m:
-                stay.add((m, p, c))
-            else:
-                moves.append(((m, p, c), (out, p, c)))
-        taken = set(stay)
-        for _, dst in moves:
-            if dst in taken:
-                raise StateOpError(f"routing collision at slot {dst}")
-            taken.add(dst)
-        amps = [self.amplitudes.pop(src) for src, _ in moves]
-        for (_, dst), a in zip(moves, amps):
-            self.amplitudes[dst] = a
+        moves: list[tuple[int, tuple[str, int], int]] = []
+        for m in sorted({m for (m, _) in routing}):
+            for key in sorted(self._modes.get(m, ())):
+                out = routing.get((m, key[0]), m)
+                if out != m:
+                    moves.append((m, key, out))
+        taken = set()
+        for _, key, out in moves:
+            stays = key in self._modes.get(out, ()) and routing.get((out, key[0]), out) == out
+            if stays or (out, key) in taken:
+                raise StateOpError(f"routing collision at slot {(out, *key)}")
+            taken.add((out, key))
+        amps = [self._modes[m].pop(key) for m, key, _ in moves]
+        for (_, key, out), a in zip(moves, amps):
+            self._modes.setdefault(out, {})[key] = a
         return 0.0
 
     def apply_mirror(self, in_mode: int, out_mode: int) -> float:
@@ -374,12 +383,13 @@ class SystemState:
         when the merged branches occupy disjoint (pol, config) slots;
         the returned ledger entry shows misuse as a norm change.
         """
-        if in_mode == out_mode:
+        if in_mode == out_mode or in_mode not in self._modes:
             return 0.0
+        src = self._modes.pop(in_mode)
+        dst = self._modes.setdefault(out_mode, {})
         delta = 0.0
-        for (m, p, c) in self._slots_on_mode(in_mode):
-            a = self.amplitudes.pop((m, p, c))
-            delta += self._add((out_mode, p, c), a) - abs(a) ** 2
+        for key, a in sorted(src.items()):
+            delta += _add(dst, key, a) - abs(a) ** 2
         return delta
 
     def apply_attenuator(self, mode: int, coeff: complex, sink: str) -> float:
@@ -388,11 +398,11 @@ class SystemState:
         if mag > 1.0 + 1e-12:
             raise StateOpError(f"attenuator coefficient must have |c| <= 1, got |{coeff}|")
         drop = max(0.0, 1.0 - mag * mag)
+        slots = self._modes.get(mode, {})
         delta = 0.0
-        for slot in self._slots_on_mode(mode):
-            a = self.amplitudes[slot]
+        for key, a in sorted(slots.items()):
             mass = abs(a) ** 2
-            delta += self._add_sink(sink, drop * mass) + self._set(slot, coeff * a, 0.0) - mass
+            delta += self._add_sink(sink, drop * mass) + _set(slots, key, coeff * a, 0.0) - mass
         return delta
 
     def apply_emitter_scatter(
@@ -414,23 +424,18 @@ class SystemState:
         """
         if not 0 <= emitter < self.n:
             raise StateOpError(f"emitter index {emitter} out of range for n={self.n}")
-        slots = self._slots_on_mode(in_mode)
-        pols = {p for _, p, _ in slots}
-        if len(pols) > 1:
+        if len({p for (p, _) in self._modes.get(in_mode, ())}) > 1:
             raise StateOpError(f"mode {in_mode} carries both polarizations, scattering undefined")
+        src = self._modes.pop(in_mode, {})
+        dst = self._modes.setdefault(reflected_out, {})
         r = coeffs.r
         miss = max(0.0, 1.0 - abs(r) ** 2)
         bit = 1 << emitter
         delta = 0.0
-        for (m, p, c) in slots:
-            a = self.amplitudes.pop((m, p, c))
+        for (p, c), a in sorted(src.items()):
             mass = abs(a) ** 2
-            out_pol = V if p == H else H
-            delta += (
-                self._add_sink(herald_sink, miss * mass)
-                + self._add((reflected_out, out_pol, c ^ bit), r * a)
-                - mass
-            )
+            missed = self._add_sink(herald_sink, miss * mass)
+            delta += missed + _add(dst, (V if p == H else H, c ^ bit), r * a) - mass
         return delta
 
     def measure_detector_bank(self, bank: dict[Slot2, str]) -> list[DetectorOutcome]:
@@ -445,15 +450,14 @@ class SystemState:
         ids = list(bank.values())
         if len(set(ids)) != len(ids):
             raise StateOpError("detector ids must be unique")
-        uncovered = sorted(
-            {(m, p) for (m, p, _) in self.amplitudes if (m, p) not in bank}
-        )
+        modes = self._modes
+        uncovered = sorted({(m, p) for m in modes for (p, _) in modes[m] if (m, p) not in bank})
         if uncovered:
             raise UncoveredSlotError([(m, p, -1) for (m, p) in uncovered])
         collected: dict[str, dict[int, complex]] = {}
-        for (m, p, c) in sorted(self.amplitudes):
-            det = bank[(m, p)]
-            collected.setdefault(det, {})[c] = self.amplitudes[(m, p, c)]
+        for m in sorted(modes):
+            for (p, c) in sorted(modes[m]):
+                collected.setdefault(bank[(m, p)], {})[c] = modes[m][(p, c)]
         outcomes = []
         for det in sorted(collected):
             amps = collected[det]
@@ -478,11 +482,7 @@ class SystemState:
     def allclose(self, other: "SystemState", tol: float = 1e-12) -> bool:
         if self.n != other.n:
             return False
-        keys = self.amplitudes.keys() | other.amplitudes.keys()
-        if any(
-            abs(self.amplitudes.get(k, 0.0) - other.amplitudes.get(k, 0.0)) > tol
-            for k in keys
-        ):
-            return False
-        sk = self.sinks.keys() | other.sinks.keys()
-        return all(abs(self.sinks.get(k, 0.0) - other.sinks.get(k, 0.0)) <= tol for k in sk)
+        def close(x, y) -> bool:
+            return all(abs(x.get(k, 0.0) - y.get(k, 0.0)) <= tol for k in x.keys() | y.keys())
+
+        return close(self.amplitudes, other.amplitudes) and close(self.sinks, other.sinks)

@@ -205,56 +205,39 @@ def check_three_qubit_table() -> CheckResult:
     )
 
 
-def _interference_snapshot(circuit, params):
+def _check_interference(name: str, n: int, circuit, modes, patterns) -> CheckResult:
+    """Pre-detection state of a dedicated layout, slot by slot.
+
+    At the final mixer output every surviving slot must carry amplitude
+    r^n / (2 sqrt(n+1)), with the sign pattern of its detector over the
+    two output ``modes``, both polarizations and the n+1 register configs.
+    """
+    params = ProtocolParams(n, EmitterParams(purcell=100.0, detuning=0.07))
+    scale = scatter_coeffs(params.nominal).r ** n / (2.0 * math.sqrt(n + 1))
     idx = circuit.find(Mixer, label="bs")[0]
-    result = execute(circuit, params=params, trace=True)
-    return result.trace[idx].state
+    snap = execute(circuit, params=params, trace=True).trace[idx].state.amplitudes
+    a, b = modes
+    detectors = {(a, "H"): "D1", (a, "V"): "D2", (b, "H"): "D3", (b, "V"): "D4"}
+    expected = {
+        (mode, pol, _config_of(label)): sign * scale
+        for (mode, pol), det in detectors.items()
+        for label, sign in patterns[det].items()
+    }
+    worst = max(abs(snap.get(k, 0.0) - expected.get(k, 0.0)) for k in expected.keys() | snap.keys())
+    return CheckResult(name, worst <= TOL, f"max amplitude deviation {worst:.2e}")
 
 
 def check_two_qubit_interference() -> CheckResult:
-    """Pre-detection state of the dedicated two-emitter layout.
-
-    At the final mixer output the eight surviving slots must all carry
-    amplitude r^2/(2 sqrt3) with a fixed sign pattern over the modes
-    (6, 7), polarizations and the three register configs.
-    """
-    params = ProtocolParams(2, EmitterParams(purcell=100.0, detuning=0.07))
-    r = scatter_coeffs(params.nominal).r
-    scale = r**2 / (2.0 * math.sqrt(3.0))
-    snap = _interference_snapshot(build_two_qubit(), params)
-    expected = {}
-    for (mode, pol), det in (
-        ((6, "H"), "D1"), ((6, "V"), "D2"), ((7, "H"), "D3"), ((7, "V"), "D4"),
-    ):
-        for label, sign in _expected_two_qubit_patterns()[det].items():
-            expected[(mode, pol, _config_of(label))] = sign * scale
-    worst = 0.0
-    keys = set(expected) | set(snap.amplitudes)
-    for k in keys:
-        worst = max(worst, abs(snap.amplitudes.get(k, 0.0) - expected.get(k, 0.0)))
-    return CheckResult(
-        "two-qubit-interference-pattern", worst <= TOL, f"max amplitude deviation {worst:.2e}"
+    return _check_interference(
+        "two-qubit-interference-pattern", 2, build_two_qubit(), (6, 7),
+        _expected_two_qubit_patterns(),
     )
 
 
 def check_three_qubit_interference() -> CheckResult:
-    """Same idea one level up: amplitudes r^3/4 over modes (9, 10)."""
-    params = ProtocolParams(3, EmitterParams(purcell=100.0, detuning=0.07))
-    r = scatter_coeffs(params.nominal).r
-    scale = r**3 / 4.0
-    snap = _interference_snapshot(build_three_qubit(), params)
-    expected = {}
-    for (mode, pol), det in (
-        ((9, "H"), "D1"), ((9, "V"), "D2"), ((10, "H"), "D3"), ((10, "V"), "D4"),
-    ):
-        for label, sign in _expected_three_qubit_patterns()[det].items():
-            expected[(mode, pol, _config_of(label))] = sign * scale
-    worst = 0.0
-    keys = set(expected) | set(snap.amplitudes)
-    for k in keys:
-        worst = max(worst, abs(snap.amplitudes.get(k, 0.0) - expected.get(k, 0.0)))
-    return CheckResult(
-        "three-qubit-interference-pattern", worst <= TOL, f"max amplitude deviation {worst:.2e}"
+    return _check_interference(
+        "three-qubit-interference-pattern", 3, build_three_qubit(), (9, 10),
+        _expected_three_qubit_patterns(),
     )
 
 

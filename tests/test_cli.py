@@ -278,3 +278,17 @@ def test_circuit_subcommands_do_not_import_numpy(argv):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.stdout == "0 False\n", proc.stderr
+
+
+def test_package_runs_as_module():
+    src = os.path.dirname(os.path.dirname(wgqsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "coeffs", "--purcell", "100"],
+            env=env, capture_output=True, timeout=60,
+        )
+        for module in ("wgqsim", "wgqsim.cli")
+    ]
+    assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout

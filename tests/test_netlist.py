@@ -110,6 +110,15 @@ def test_error_column_points_at_token():
     assert info.value.col == "hwp mode=0 theta=fast".index("theta=") + 1
 
 
+def test_input_mode_error_points_at_its_token():
+    line = "  input mode=x pol=H"
+    bad = f"circuit x\nemitters 1\nmodes 0\n{line}\ndetect D1=(0,H) D2=(0,V)\n"
+    with pytest.raises(NetlistError) as info:
+        parse(bad)
+    assert "input mode must be an integer, got 'x'" in str(info.value)
+    assert (info.value.line, info.value.col) == (4, line.index("mode=") + 1)
+
+
 def test_unknown_builtin_name():
     with pytest.raises(KeyError):
         builtin_netlist_text("klm99")

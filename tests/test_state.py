@@ -26,18 +26,29 @@ BS = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 
 def random_state(rng, n=2, modes=(0, 1, 2)):
-    s = SystemState(n)
+    amps = {}
     for m in modes:
         for p in (H, V):
             for c in range(1 << n):
                 if rng.random() < 0.6:
-                    s.amplitudes[(m, p, c)] = complex(rng.normal(), rng.normal())
-    if not s.amplitudes:  # rare all-rejected draw
-        s.amplitudes[(modes[0], H, 0)] = 1.0
+                    amps[(m, p, c)] = complex(rng.normal(), rng.normal())
+    if not amps:  # rare all-rejected draw
+        amps[(modes[0], H, 0)] = 1.0
+    return normalized(SystemState(n, amps))
+
+
+def normalized(s):
     norm = math.sqrt(s.total_norm)
-    for k in s.amplitudes:
-        s.amplitudes[k] /= norm
-    return s
+    return SystemState(s.n, {k: a / norm for k, a in s.amplitudes.items()}, s.sinks)
+
+
+def single_pol(s, mode, sinks=None):
+    """s with the V slots of mode added onto H: scattering input is single-pol."""
+    amps = dict(s.amplitudes)
+    for (m, p, c) in list(amps):
+        if m == mode and p == V:
+            amps[(m, H, c)] = amps.get((m, H, c), 0.0) + amps.pop((m, p, c))
+    return SystemState(s.n, amps, sinks)
 
 
 def per_slot_change_basis(amplitudes, n, basis):
@@ -98,9 +109,7 @@ def test_klm_target():
 
 def test_polarization_unitary_single_application():
     # a config occupied in both H and V must be transformed once, not twice
-    s = SystemState(1)
-    s.amplitudes[(0, H, 0)] = 0.6
-    s.amplitudes[(0, V, 0)] = 0.8
+    s = SystemState(1, {(0, H, 0): 0.6, (0, V, 0): 0.8})
     s.apply_polarization_unitary(0, hwp_matrix(22.5))
     r2 = math.sqrt(2)
     assert s.amplitudes[(0, H, 0)] == pytest.approx((0.6 + 0.8) / r2, abs=1e-14)
@@ -108,9 +117,7 @@ def test_polarization_unitary_single_application():
 
 
 def test_mode_mixer_single_application():
-    s = SystemState(1)
-    s.amplitudes[(0, H, 0)] = 0.6
-    s.amplitudes[(1, H, 0)] = 0.8
+    s = SystemState(1, {(0, H, 0): 0.6, (1, H, 0): 0.8})
     s.apply_mode_mixer(0, 1, BS)
     r2 = math.sqrt(2)
     assert s.amplitudes[(0, H, 0)] == pytest.approx((0.6 + 0.8) / r2, abs=1e-14)
@@ -118,8 +125,7 @@ def test_mode_mixer_single_application():
 
 
 def test_non_unitary_matrix_rejected():
-    s = SystemState(1)
-    s.amplitudes[(0, H, 0)] = 1.0
+    s = SystemState(1, {(0, H, 0): 1.0})
     with pytest.raises(StateOpError):
         s.apply_polarization_unitary(0, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
@@ -163,15 +169,7 @@ def test_unitary_ops_conserve_norm(seed):
 @given(st.integers(0, 2 ** 31 - 1))
 def test_scatter_conserves_norm_with_sink(seed):
     rng = np.random.default_rng(seed)
-    s = random_state(rng, modes=(0,))
-    # put everything in one polarization: scattering input is single-pol
-    for (m, p, c) in list(s.amplitudes):
-        if p == V:
-            amp = s.amplitudes.pop((m, p, c))
-            s.amplitudes[(m, H, c)] = s.amplitudes.get((m, H, c), 0.0) + amp
-    norm = math.sqrt(s.total_norm)
-    for k in s.amplitudes:
-        s.amplitudes[k] /= norm
+    s = normalized(single_pol(random_state(rng, modes=(0,)), 0))
     c = scatter_coeffs(EmitterParams(purcell=rng.uniform(2, 200), detuning=rng.uniform(-0.3, 0.3)))
     s.apply_emitter_scatter(0, emitter=1, reflected_out=3, coeffs=c, herald_sink="miss")
     # total_norm counts sinks, so it stays 1; the live part shrinks by |r|^2
@@ -197,10 +195,7 @@ def test_each_op_returns_its_norm_change(seed, n):
     # occupied mode, attenuation with a sink, scattering)
     rng = np.random.default_rng(seed)
     s = random_state(rng, n=n, modes=(0, 1, 2, 3))
-    s.sinks["old"] = float(rng.uniform(0, 1))
-    for (m, p, c) in list(s.amplitudes):  # scattering input is single-pol
-        if m == 3 and p == V:
-            s._add((3, H, c), s.amplitudes.pop((m, p, c)))
+    s = single_pol(s, 3, sinks={"old": float(rng.uniform(0, 1))})
     emitter = int(rng.integers(n))
     r = scatter_coeffs(EmitterParams(purcell=10 ** rng.uniform(-2, 3), detuning=rng.uniform(-0.3, 0.3)))
     coeff = complex(rng.normal(), rng.normal())
@@ -224,9 +219,7 @@ def test_each_op_returns_its_norm_change(seed, n):
 
 def test_scatter_sign_and_flip():
     c = scatter_coeffs(EmitterParams(100.0, 0.05))
-    s = SystemState(2)
-    s.amplitudes[(0, H, 0b00)] = 0.6
-    s.amplitudes[(0, H, 0b10)] = 0.8
+    s = SystemState(2, {(0, H, 0b00): 0.6, (0, H, 0b10): 0.8})
     s.apply_emitter_scatter(0, emitter=0, reflected_out=1, coeffs=c, herald_sink="m")
     # r*Z flips emitter 0's plusminus bit with +r; polarization flips H -> V
     assert s.amplitudes[(1, V, 0b01)] == pytest.approx(0.6 * c.r, abs=1e-14)
@@ -260,23 +253,18 @@ def energy_sign_scatter(s, in_mode, emitter, r, out_mode):
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
 def test_plusminus_scatter_matches_energy_sign_scatter(seed, n):
     rng = np.random.default_rng(seed)
-    s = random_state(rng, n=n, modes=(0, 1, 2))
-    for (m, p, c) in list(s.amplitudes):  # scattering input is single-pol
-        if m == 0 and p == V:
-            s._add((0, H, c), s.amplitudes.pop((m, p, c)))
+    s = single_pol(random_state(rng, n=n, modes=(0, 1, 2)), 0)
     emitter = int(rng.integers(n))
     out_mode = int(rng.choice([1, 3]))  # onto an occupied or an empty mode
     c = scatter_coeffs(EmitterParams(purcell=rng.uniform(1, 200), detuning=rng.uniform(-0.3, 0.3)))
     ref = energy_sign_scatter(s, 0, emitter, c.r, out_mode)
     s.apply_emitter_scatter(0, emitter=emitter, reflected_out=out_mode, coeffs=c, herald_sink="m")
-    ref.sinks = dict(s.sinks)
+    ref = SystemState(ref.n, ref.amplitudes, s.sinks)
     assert s.allclose(ref, tol=1e-12)
 
 
 def test_pbs_routes_and_merges():
-    s = SystemState(1)
-    s.amplitudes[(0, H, 0)] = 0.6
-    s.amplitudes[(1, V, 0)] = 0.8
+    s = SystemState(1, {(0, H, 0): 0.6, (1, V, 0): 0.8})
     s.apply_pbs({(0, H): 4, (1, V): 4})
     assert s.amplitudes[(4, H, 0)] == 0.6
     assert s.amplitudes[(4, V, 0)] == 0.8
@@ -284,30 +272,77 @@ def test_pbs_routes_and_merges():
 
 
 def test_pbs_collision_detected():
-    s = SystemState(1)
-    s.amplitudes[(0, H, 0)] = 0.6
-    s.amplitudes[(1, H, 0)] = 0.8
+    s = SystemState(1, {(0, H, 0): 0.6, (1, H, 0): 0.8})
     with pytest.raises(StateOpError):
         s.apply_pbs({(0, H): 4, (1, H): 4})
 
 
 def test_mirror_merges_coherently():
-    s = SystemState(1)
-    s.amplitudes[(0, H, 0)] = 0.5
-    s.amplitudes[(1, H, 1)] = 0.5
+    s = SystemState(1, {(0, H, 0): 0.5, (1, H, 1): 0.5})
     s.apply_mirror(0, 1)
     assert s.amplitudes[(1, H, 0)] == 0.5
     assert s.amplitudes[(1, H, 1)] == 0.5
 
 
 def test_attenuator_drops_to_sink():
-    s = SystemState(1)
-    s.amplitudes[(0, H, 0)] = 1.0
+    s = SystemState(1, {(0, H, 0): 1.0})
     s.apply_attenuator(0, 0.6, "gone")
     assert s.amplitudes[(0, H, 0)] == pytest.approx(0.6)
     assert s.sinks["gone"] == pytest.approx(0.64)
     with pytest.raises(StateOpError):
         s.apply_attenuator(0, 1.5, "gone")
+
+
+def test_amplitudes_view_is_read_only():
+    s = SystemState.initial(1, 0, H, "+")
+    with pytest.raises(TypeError):
+        s.amplitudes[(0, H, 0)] = 0.5
+    assert s.amplitudes == {(0, H, 0): 1.0}
+
+
+class CountingMode(int):
+    """Mode label that counts how often it is compared for equality."""
+
+    eq_calls = 0
+
+    def __eq__(self, other):
+        CountingMode.eq_calls += 1
+        return int.__eq__(self, other)
+
+    __hash__ = int.__hash__
+
+
+def mode_op_comparisons(background_modes):
+    """Equality tests on other modes' labels made by each op on modes 0..4.
+
+    Each background mode holds 100 slots; modes 0 and 1 hold four.
+    """
+    amps = {(m, p, c): 0.01 for m in (0, 1) for p in (H, V) for c in (0, 1)}
+    for i in range(background_modes):
+        label = CountingMode(1000 + i)
+        amps.update({(label, p, c): 0.01 for p in (H, V) for c in range(50)})
+    s = SystemState(6, amps)
+    coeffs = scatter_coeffs(EmitterParams(100.0, 0.05))
+    ops = [
+        lambda: s.apply_polarization_unitary(0, hwp_matrix(22.5)),
+        lambda: s.apply_mode_mixer(0, 1, BS),
+        lambda: s.apply_pbs({(0, H): 2, (1, V): 3}),
+        lambda: s.apply_mirror(2, 0),
+        lambda: s.apply_attenuator(0, 0.5, "att"),
+        lambda: s.apply_emitter_scatter(3, 0, coeffs, 4, "miss"),
+    ]
+    counts = []
+    for op in ops:
+        CountingMode.eq_calls = 0
+        op()
+        counts.append(CountingMode.eq_calls)
+    return counts
+
+
+def test_mode_ops_do_not_visit_other_modes():
+    # an op on one or two modes costs the same whether the other modes
+    # hold 100 slots or 10,000
+    assert mode_op_comparisons(100) == mode_op_comparisons(1)
 
 
 def test_change_basis_round_trip():
@@ -334,8 +369,7 @@ def test_measure_detector_bank():
 
 
 def test_measure_requires_coverage():
-    s = SystemState.initial(2, 0, H, "++")
-    s.amplitudes[(6, V, 0)] = 0.3
+    s = SystemState(2, {(0, H, 0): 1.0, (6, V, 0): 0.3})
     with pytest.raises(UncoveredSlotError):
         s.measure_detector_bank({(0, H): "D1"})
 
