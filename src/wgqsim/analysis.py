@@ -27,10 +27,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .params import ProtocolParams
 from .scatter import EmitterParams, InvalidParameterError, scatter_coeffs
 from .protocols import run_protocol
+
+if TYPE_CHECKING:  # numpy loads on the first broadening call, not on import
+    import numpy as np
 
 DEFAULT_GH_ORDER = 20
 GH_NODE_BUDGET = 200_000
@@ -76,21 +80,51 @@ def _chain_fidelity(
         mass  <- mass * |r_m|**2 + |rnom|**(2(m+1))
 
     leaves total = sum_j w_j and mass = sum_j |w_j|**2, so no branch
-    weight is ever stored.  The offset arrays broadcast against each
-    other and the result takes their joint shape.
+    weight is ever stored.  The first product by 1 is skipped: total
+    starts as a copy of r_0 and mass as |r_0|**2.  The offset arrays
+    broadcast against each other and the result takes their joint shape.
+
+    Every step writes in place where the shapes allow.  Offsets of one
+    shape (the Monte-Carlo columns) reuse one r buffer and one real
+    temporary buffer, and multiply into total and mass in place, so no
+    step allocates; the offset arrays may be strided views.  Offsets
+    that broadcast onto new axes (the Gauss-Hermite tensor) grow total
+    and mass at each step, so those products are fresh arrays; only
+    the sums and the final ratio and clamp reuse them.  One-element
+    complex products stay out of place: numpy rounds an in-place
+    one-element product differently from its vector loop.
     """
     import numpy as np
+
+    def abs2(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        # out <- z.real**2 + z.imag**2; tmp may be z.imag, which it overwrites
+        np.multiply(z.real, z.real, out=out)
+        np.multiply(z.imag, z.imag, out=tmp)
+        return np.add(out, tmp, out=out)
+
     rnom = scatter_coeffs(nominal).r
-    inv_p = 1.0 / nominal.purcell
-    total, mass, n = 1.0 + 0.0j, 1.0, 0
-    for offset in offsets:
-        n += 1
-        r = -1.0 / (1.0 + inv_p - 2.0j * (nominal.detuning + offset))
-        total = total * r
+    total = mass = r = tmp = None
+    for n, offset in enumerate(offsets, 1):
+        if r is None or r.shape != offset.shape:
+            r, tmp = np.empty(offset.shape, complex), np.empty(offset.shape)
+        # r <- -1 / (1 + 1/P - 2i (d + offset))
+        np.add(offset, nominal.detuning, out=tmp)
+        r.real = 1.0 + 1.0 / nominal.purcell
+        np.multiply(tmp, -2.0, out=r.imag)
+        np.divide(-1.0, r, out=r)
+        if total is None:
+            total, mass = r.copy(), abs2(r, np.empty(r.shape), tmp)
+        elif total.shape == r.shape and total.size > 1:
+            total *= r
+            mass *= abs2(r, tmp, r.imag)
+        else:
+            total = total * r
+            mass = mass * abs2(r, tmp, r.imag)
         total += rnom ** n
-        mass = mass * (r.real * r.real + r.imag * r.imag)
         mass += abs(rnom) ** (2 * n)
-    return np.minimum((total.real ** 2 + total.imag ** 2) / ((n + 1) * mass), 1.0)
+    mass *= n + 1
+    np.divide(abs2(total, total.real, total.imag), mass, out=mass)
+    return np.minimum(mass, 1.0, out=mass)
 
 
 def fidelity_kernel(
@@ -107,7 +141,9 @@ def fidelity_kernel(
 
     Both sums are accumulated by one Horner pass over the emitters, one
     offset column (length batch) at a time, so the cost is O(batch * n)
-    with no (batch, n+1) weight matrix.  Agrees with the circuit route
+    with no (batch, n+1) weight matrix.  The columns are read as strided
+    views of ``offsets``, with no transposed copy, and each step runs in
+    place on buffers of one column each.  Agrees with the circuit route
     to machine precision; the tests pin that down.  Cauchy-Schwarz
     bounds F by 1; rounding above that is clamped.
     """
@@ -119,8 +155,7 @@ def fidelity_kernel(
         raise InvalidParameterError(
             f"offset batch has {offsets.shape[1]} columns, expected {n}"
         )
-    # one contiguous row per emitter
-    return _chain_fidelity(nominal, np.ascontiguousarray(offsets.T))
+    return _chain_fidelity(nominal, offsets.T)
 
 
 @dataclass(frozen=True)
@@ -193,18 +228,21 @@ def averaged_fidelity(
         def on_axis(k: int, values: np.ndarray) -> np.ndarray:
             return values.reshape((1,) * k + (order,) + (1,) * (n - 1 - k))
 
-        weight = 1.0
-        for k in range(n):
-            weight = weight * on_axis(k, wts)
         if integrand == "kernel":
             # emitter m on axis n-1-m: the last, widest products then run
             # over a contiguous inner axis, about 3x faster than axis m
             vals = _chain_fidelity(nominal, (on_axis(n - 1 - m, nodes) for m in range(n)))
         else:
             grid = np.stack(np.meshgrid(*([nodes] * n), indexing="ij"), axis=-1)
-            vals = evaluate(grid.reshape(-1, n)).reshape(weight.shape)
+            vals = evaluate(grid.reshape(-1, n)).reshape((order,) * n)
+        # built after the kernel has freed its Horner state, so the two
+        # full tensors are never live at once
+        weight = 1.0
+        for k in range(n):
+            weight = weight * on_axis(k, wts)
         # the weights sum to pi^(n/2) only up to rounding; NaN stays NaN
-        mean = np.minimum(np.sum(weight * vals) / math.pi ** (n / 2.0), 1.0)
+        vals *= weight
+        mean = np.minimum(np.sum(vals) / math.pi ** (n / 2.0), 1.0)
         return AveragedFidelity(float(mean), None, order ** n, "gh")
 
     rng = np.random.default_rng(seed)
@@ -306,13 +344,27 @@ def _axis_span(values: list[float]) -> tuple[float, float]:
 
 
 def _log_grid(lo: float, hi: float, num: int) -> list[float]:
-    import numpy as np
-    return [float(v) for v in np.geomspace(lo, hi, num)]
+    """``num >= 2`` points from lo to hi (both > 0) at a constant ratio.
+
+    Ten to the power of an even grid of log10 values, with both ends set
+    exactly; within a few ulps of ``np.geomspace``, whose vectorized log
+    and power round differently from libm.
+    """
+    ys = _lin_grid(math.log10(lo), math.log10(hi), num)
+    return [lo] + [10.0 ** y for y in ys[1:-1]] + [hi]
 
 
 def _lin_grid(lo: float, hi: float, num: int) -> list[float]:
-    import numpy as np
-    return [float(v) for v in np.linspace(lo, hi, num)]
+    """``num >= 2`` evenly spaced points from lo to hi, as ``np.linspace``.
+
+    Same arithmetic, so the same bits: i * step + lo, ending exactly at
+    hi; a step that underflows to 0 scales each index fraction instead.
+    """
+    div, delta = num - 1, hi - lo
+    step = delta / div
+    if step == 0:
+        return [i / div * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
 
 
 SWEEP_KINDS = ("fig5a", "fig5b", "fig6", "fig7", "fig8")

@@ -348,12 +348,6 @@ class ExecutionResult:
     final: SystemState
     trace: list[TraceStep] | None = None
 
-    def outcome(self, detector: str) -> DetectorOutcome:
-        for oc in self.outcomes:
-            if oc.detector == detector:
-                return oc
-        raise KeyError(f"detector {detector} did not fire")
-
     def herald_probability(self) -> float:
         return sum(oc.probability for oc in self.outcomes)
 

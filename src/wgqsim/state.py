@@ -478,11 +478,3 @@ class SystemState:
             for (m, p, c), a in self.amplitudes.items()
         ]
         return "\n".join(sorted(lines))
-
-    def allclose(self, other: "SystemState", tol: float = 1e-12) -> bool:
-        if self.n != other.n:
-            return False
-        def close(x, y) -> bool:
-            return all(abs(x.get(k, 0.0) - y.get(k, 0.0)) <= tol for k in x.keys() | y.keys())
-
-        return close(self.amplitudes, other.amplitudes) and close(self.sinks, other.sinks)

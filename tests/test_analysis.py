@@ -1,7 +1,11 @@
 """Figures of merit: closed forms, broadening averages, sweeps."""
 
+import ast
+import inspect
 import math
 import os
+import tracemalloc
+import typing
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,10 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgqsim import analysis
 from wgqsim.analysis import (
     DEFAULT_GH_ORDER,
     GH_NODE_BUDGET,
     QuadratureBudgetError,
+    _chain_fidelity,
+    _lin_grid,
+    _log_grid,
     averaged_fidelity,
     conditioned_fidelity,
     fidelity_kernel,
@@ -55,6 +63,19 @@ def suffix_product_fidelity(nominal, offsets):
     suffix[:, :n] = np.cumprod(r[:, ::-1], axis=1)[:, ::-1]
     w = suffix * rnom ** np.arange(n + 1)
     return np.abs(w.sum(axis=1)) ** 2 / ((n + 1) * (np.abs(w) ** 2).sum(axis=1))
+
+
+def out_of_place_horner(nominal, offsets):
+    """The Horner pass from total = mass = 1 with a fresh array at every
+    step, one offset array per emitter."""
+    rnom = scatter_coeffs(nominal).r
+    inv_p = 1.0 / nominal.purcell
+    total, mass = 1.0 + 0.0j, 1.0
+    for n, offset in enumerate(offsets, 1):
+        r = -1.0 / (1.0 + inv_p - 2.0j * (nominal.detuning + offset))
+        total = total * r + rnom ** n
+        mass = mass * (r.real * r.real + r.imag * r.imag) + abs(rnom) ** (2 * n)
+    return np.minimum((total.real ** 2 + total.imag ** 2) / ((n + 1) * mass), 1.0)
 
 
 def meshgrid_gh_fidelity(n, nominal, sigma, order):
@@ -130,6 +151,45 @@ def test_kernel_matches_suffix_products(n, purcell, d, spread, batch, seed):
     offsets = np.random.default_rng(seed).normal(0.0, spread, size=(batch, n))
     want = np.minimum(suffix_product_fidelity(nominal, offsets), 1.0)
     np.testing.assert_allclose(fidelity_kernel(n, nominal, offsets), want, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10), purcells, st.floats(-0.5, 0.5), st.floats(0.0, 0.3),
+    st.integers(1, 60), st.integers(0, 2 ** 31 - 1),
+)
+def test_in_place_kernel_matches_out_of_place_bit_for_bit(n, purcell, d, spread, batch, seed):
+    nominal = EmitterParams(purcell, d)
+    offsets = np.random.default_rng(seed).normal(0.0, spread, size=(batch, n))
+    got = fidelity_kernel(n, nominal, offsets)
+    assert np.array_equal(got, out_of_place_horner(nominal, offsets.T), equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), purcells, st.floats(-0.5, 0.5),
+       st.floats(0.0, 0.3))
+def test_broadcast_horner_matches_out_of_place_bit_for_bit(n, order, purcell, d, sigma):
+    # the Gauss-Hermite layout: emitter m's nodes on axis n-1-m
+    nodes = np.polynomial.hermite.hermgauss(order)[0] * sigma
+    axes = [nodes.reshape((1,) * (n - 1 - m) + (order,) + (1,) * m) for m in range(n)]
+    nominal = EmitterParams(purcell, d)
+    got = _chain_fidelity(nominal, axes)
+    assert got.shape == (order,) * n
+    assert np.array_equal(got, out_of_place_horner(nominal, axes), equal_nan=True)
+
+
+def test_kernel_peak_memory_stays_a_few_columns():
+    # 80k x 9 is the bench's Monte-Carlo batch; a transposed copy of it
+    # alone is 4.5 complex columns
+    offsets = np.random.default_rng(0).normal(0.0, 0.1, size=(80_000, 9))
+    column = offsets.shape[0] * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        fidelity_kernel(9, EmitterParams(80.0, 0.05), offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * column
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,6 +361,50 @@ def test_sweep_broadening_curves():
     assert any(v < 1.0 - 1e-6 for lb in res.series if "0.2" in lb for v in res.series[lb])
     for ys in sweep("fig8").series.values():
         assert all(0.0 <= y <= 1.0 for y in ys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 300))
+def test_lin_grid_is_linspace_bit_for_bit(lo, hi, num):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linspace(lo, hi, num)
+    assert np.array(_lin_grid(lo, hi, num)).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.integers(2, 300))
+def test_log_grid_matches_geomspace(lo, hi, num):
+    got = _log_grid(lo, hi, num)
+    assert len(got) == num and got[0] == lo and got[-1] == hi
+    # an ulp of y = log10(x) moves 10**y by ln(10) |y| ulps, in either
+    # implementation, so the bound scales with the decades of the ends
+    decades = max(1.0, abs(math.log10(lo)), abs(math.log10(hi)))
+    np.testing.assert_allclose(got, np.geomspace(lo, hi, num), rtol=1e-14 * decades, atol=0)
+
+
+def type_checking_namespace(module):
+    """What the module imports under ``if TYPE_CHECKING:``, which a type
+    checker sees and the running module does not."""
+    ns = {}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(node.body, []), module.__file__, "exec"), ns)
+    return ns
+
+
+def test_analysis_type_hints_resolve():
+    ns = type_checking_namespace(analysis)
+    for obj in vars(analysis).values():
+        if getattr(obj, "__module__", None) != analysis.__name__:
+            continue
+        if inspect.isclass(obj):
+            typing.get_type_hints(obj, localns=ns)
+            for fn in vars(obj).values():
+                if inspect.isfunction(fn):
+                    typing.get_type_hints(fn, localns=ns)
+        elif inspect.isfunction(obj):
+            typing.get_type_hints(obj, localns=ns)
 
 
 def test_sweep_rejects_unknown_kind():

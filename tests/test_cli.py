@@ -269,7 +269,10 @@ print(code, "numpy" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("argv", [["coeffs"], ["run", "--n", "3"], ["exec", "klm3"]])
+@pytest.mark.parametrize("argv", [
+    ["coeffs"], ["run", "--n", "3"], ["exec", "klm3"],
+    ["sweep", "--kind", "fig5a", "--grid=2:500:40", "--log"],
+])
 def test_circuit_subcommands_do_not_import_numpy(argv):
     src = os.path.dirname(os.path.dirname(wgqsim.__file__))
     env = dict(os.environ, PYTHONPATH=src)
